@@ -36,7 +36,7 @@ from .field_solver import (
     SceneOperators,
     solve_source,
 )
-from .geometry import InclusionSpec, Mesh
+from .geometry import InclusionSpec, Mesh, p1_geometry
 from .polarization import Corrector, PolarizationTensor
 
 
@@ -52,10 +52,6 @@ class ShiftPrediction:
     value: float             # predicted lambda_bar - lambda
     use_m_factor: bool
     convention: str
-
-    def rescaled(self, epsilon: float) -> float:
-        """The formula scales exactly as eps^2 at fixed geometry."""
-        return self.value * (epsilon / self.epsilon) ** 2
 
 
 def predicted_shift(
@@ -121,16 +117,6 @@ def recover_quadratic(mesh: Mesh, values: np.ndarray, z, radius: float):
     return float(coef[0]), grad, hess
 
 
-def group_gradients(group: DiscreteGroup, mesh: Mesh, inclusions, radius: float) -> np.ndarray:
-    """Recovered gradients (m, L, 2) of a discrete group at the centers."""
-    out = np.zeros((group.multiplicity, len(inclusions), 2))
-    for j in range(group.multiplicity):
-        for l, inc in enumerate(inclusions):
-            _, grad, _ = recover_quadratic(mesh, group.vectors[:, j], inc.center, radius)
-            out[j, l] = grad
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Osborn residual
 # ---------------------------------------------------------------------------
@@ -175,11 +161,6 @@ def osborn_residual(
                         inner_term=inner, eigen_term=eigen_term)
 
 
-def group_gap(group: DiscreteGroup, perturbed: PerturbedGroup) -> float:
-    """|harmonic average of the matched eigenvalues - group eigenvalue|."""
-    return abs(perturbed.harmonic_average - group.lam)
-
-
 # ---------------------------------------------------------------------------
 # energy estimate
 # ---------------------------------------------------------------------------
@@ -193,34 +174,25 @@ class EnergyReport:
     improved: bool
 
 
-def energy_estimate(
-    ops: SceneOperators,
-    g,
-    corrector: Corrector,
-    inclusion_index: int = 0,
-    sup_factors: Optional[tuple] = None,
-) -> EnergyReport:
+def energy_estimate(ops: SceneOperators, g, corrector: Corrector) -> EnergyReport:
     """Measure the source-problem convergence and the corrector's effect.
 
     `g` is the source (DiscreteField or nodal array); the corrector must
-    correspond to the unperturbed solution u = T g of the same scene.
-    When `sup_factors` is not given, the three sup-norms on the inclusion
-    are measured from the discrete solution itself.
+    correspond to the unperturbed solution u = T g of the same scene and
+    is placed at its first active inclusion.  The three sup-norms on that
+    inclusion are measured from the discrete solution itself.
     """
-    inc = [i for i in ops.config.inclusions if i.epsilon > 0.0][inclusion_index]
+    inc = [i for i in ops.config.inclusions if i.epsilon > 0.0][0]
     eps = inc.epsilon
     g_vals = g.values if isinstance(g, DiscreteField) else np.asarray(g, dtype=float)
     u_eps = solve_source(ops.perturbed, g_vals).values
     u = solve_source(ops.unperturbed, g_vals).values
     diff = u_eps - u
-    k1 = ops.unperturbed.stiffness
-    h1_unc = ops.unperturbed.h1_norm(diff, stiffness=k1)
+    h1_unc = ops.unperturbed.h1_norm(diff)
     w = corrector.scaled_physical(ops.mesh.nodes, inc.center, eps)
-    h1_cor = ops.unperturbed.h1_norm(diff - w, stiffness=k1)
+    h1_cor = ops.unperturbed.h1_norm(diff - w)
 
-    if sup_factors is None:
-        sup_factors = _discrete_sup_factors(ops, u, g_vals, inc, inclusion_index)
-    sup_grad, sup_hess, sup_g = sup_factors
+    sup_grad, sup_hess, sup_g = _discrete_sup_factors(ops.mesh, u, g_vals, inc)
     proxy = sup_grad * eps**1.5 + sup_hess * eps**2 + sup_g * eps**2
     return EnergyReport(
         epsilon=eps,
@@ -232,15 +204,12 @@ def energy_estimate(
     )
 
 
-def _discrete_sup_factors(ops, u, g_vals, inc, l):
-    mesh = ops.mesh
-    tris = mesh.triangles[mesh.region == l]
-    p = mesh.nodes[tris]
-    e = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1)
-    area2 = np.abs(e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0])
+def _discrete_sup_factors(mesh: Mesh, u, g_vals, inc):
+    tris = mesh.triangles[mesh.region == 0]  # the first active inclusion
+    e, area = p1_geometry(mesh.nodes, tris)
     # P1 gradient per triangle: sum_i u_i * rot90(e_i) / (2A)
     rot = np.stack([e[:, :, 1], -e[:, :, 0]], axis=2)
-    grads = np.einsum("ti,tid->td", u[tris], rot) / area2[:, None]
+    grads = np.einsum("ti,tid->td", u[tris], rot) / (2.0 * area)[:, None]
     sup_grad = float(np.max(np.hypot(grads[:, 0], grads[:, 1]))) if len(tris) else 0.0
     _, _, hess = recover_quadratic(mesh, u, inc.center, radius=4.0 * inc.epsilon)
     sup_hess = float(np.max(np.abs(np.linalg.eigvalsh(hess))))

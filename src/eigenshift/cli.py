@@ -40,10 +40,13 @@ def _write_csv(path, header, rows):
 
 
 def _parse_eps(spec: str) -> list:
-    if ":" in spec:
-        lo, hi, n = spec.split(":")
-        return list(np.geomspace(float(lo), float(hi), int(n)))
-    return [float(tok) for tok in spec.split(",") if tok]
+    try:
+        if ":" in spec:
+            lo, hi, n = spec.split(":")
+            return list(np.geomspace(float(lo), float(hi), int(n)))
+        return [float(tok) for tok in spec.split(",") if tok]
+    except ValueError as exc:
+        raise ValidationError(f"--eps {spec!r} is not lo:hi:n or a comma list: {exc}") from exc
 
 
 def _exit_code(exc: Exception) -> int:
@@ -56,7 +59,18 @@ def _exit_code(exc: Exception) -> int:
     return 1
 
 
-@click.group()
+class _Main(click.Group):
+    """Reports a package error on stderr and exits with its documented code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except EigenshiftError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(_exit_code(exc))
+
+
+@click.group(cls=_Main)
 @click.option("--config", "config_path", default=None, type=click.Path(exists=True),
               help="Scene file used by subcommands that take no --config.")
 @click.option("--out", default=".", show_default=True, help="Output directory.")
@@ -83,18 +97,14 @@ def _resolve_config(ctx, config_path):
 @click.pass_context
 def spectrum(ctx, domain_kind, radius, count):
     """Analytic Neumann spectrum of the disk as CSV."""
-    try:
-        groups = ds.disk_spectrum_list(radius, count)
-        rows = [
-            (g.rank, g.modes[0].s, g.modes[0].i, float(g.lam), g.multiplicity)
-            for g in groups
-        ]
-        path = os.path.join(ctx.obj["out"], "spectrum.csv")
-        _write_csv(path, ["rank", "s", "i", "lambda", "multiplicity"], rows)
-        click.echo(path)
-    except EigenshiftError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(_exit_code(exc))
+    groups = ds.disk_spectrum_list(radius, count)
+    rows = [
+        (g.rank, g.modes[0].s, g.modes[0].i, float(g.lam), g.multiplicity)
+        for g in groups
+    ]
+    path = os.path.join(ctx.obj["out"], "spectrum.csv")
+    _write_csv(path, ["rank", "s", "i", "lambda", "multiplicity"], rows)
+    click.echo(path)
 
 
 @main.command()
@@ -103,34 +113,30 @@ def spectrum(ctx, domain_kind, radius, count):
 @click.pass_context
 def perturbed(ctx, config_path, count):
     """Matched perturbed/unperturbed eigenvalue groups for a scene."""
-    try:
-        scene = load_scene(_resolve_config(ctx, config_path))
-        ops = fs.build_operators(scene)
-        pairs_un = fs.solve_eigen(ops.unperturbed, count, seed=ctx.obj["seed"])
-        pairs_pe = fs.solve_eigen(ops.perturbed, count, seed=ctx.obj["seed"])
-        if scene.domain.kind == "disk":
-            mults = [g.multiplicity for g in ds.disk_spectrum_list(scene.domain.radius, count)]
-        else:
-            mults = None
-        groups = fs.cluster_spectrum(pairs_un, multiplicities=mults)
-        matched = fs.match_groups(groups, pairs_pe, ops.unperturbed)
-        max_m = max(g.multiplicity for g in groups)
-        header = ["rank", "lambda_unpert"] + [
-            f"lambda_pert_{j + 1}" for j in range(max_m)
-        ] + ["harmonic_average", "overlap"]
-        rows = []
-        for grp, pg in zip(groups, matched):
-            lams = list(pg.lambdas) + [np.nan] * (max_m - pg.multiplicity)
-            rows.append(
-                (grp.rank, float(grp.lam), *map(float, lams),
-                 float(pg.harmonic_average), float(pg.overlap))
-            )
-        path = os.path.join(ctx.obj["out"], "perturbed.csv")
-        _write_csv(path, header, rows)
-        click.echo(path)
-    except EigenshiftError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(_exit_code(exc))
+    scene = load_scene(_resolve_config(ctx, config_path))
+    ops = fs.build_operators(scene)
+    pairs_un = fs.solve_eigen(ops.unperturbed, count, seed=ctx.obj["seed"])
+    pairs_pe = fs.solve_eigen(ops.perturbed, count, seed=ctx.obj["seed"])
+    if scene.domain.kind == "disk":
+        mults = [g.multiplicity for g in ds.disk_spectrum_list(scene.domain.radius, count)]
+    else:
+        mults = None
+    groups = fs.cluster_spectrum(pairs_un, multiplicities=mults)
+    matched = fs.match_groups(groups, pairs_pe, ops.unperturbed)
+    max_m = max(g.multiplicity for g in groups)
+    header = ["rank", "lambda_unpert"] + [
+        f"lambda_pert_{j + 1}" for j in range(max_m)
+    ] + ["harmonic_average", "overlap"]
+    rows = []
+    for grp, pg in zip(groups, matched):
+        lams = list(pg.lambdas) + [np.nan] * (max_m - pg.multiplicity)
+        rows.append(
+            (grp.rank, float(grp.lam), *map(float, lams),
+             float(pg.harmonic_average), float(pg.overlap))
+        )
+    path = os.path.join(ctx.obj["out"], "perturbed.csv")
+    _write_csv(path, header, rows)
+    click.echo(path)
 
 
 @main.command()
@@ -148,20 +154,16 @@ def perturbed(ctx, config_path, count):
 @click.pass_context
 def polarization(ctx, shape_kind, contrast, panels, convention, rho, semi_a, semi_b, theta):
     """Polarization tensor of an inclusion shape as JSON."""
-    try:
-        shape = DiskShape(rho) if shape_kind == "disk" else EllipseShape(semi_a, semi_b, theta)
-        tensor = pol.polarization_tensor(shape, contrast, convention, panels)
-        payload = {
-            "shape": shape_kind,
-            "k": contrast,
-            "panels": panels,
-            "convention": convention,
-            "entries": [[float(v) for v in row] for row in tensor.entries],
-        }
-        click.echo(json.dumps(payload, indent=2))
-    except EigenshiftError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(_exit_code(exc))
+    shape = DiskShape(rho) if shape_kind == "disk" else EllipseShape(semi_a, semi_b, theta)
+    tensor = pol.polarization_tensor(shape, contrast, convention, panels)
+    payload = {
+        "shape": shape_kind,
+        "k": contrast,
+        "panels": panels,
+        "convention": convention,
+        "entries": [[float(v) for v in row] for row in tensor.entries],
+    }
+    click.echo(json.dumps(payload, indent=2))
 
 
 @main.command()
@@ -189,58 +191,54 @@ def sweep(ctx, config_path, eps_spec, group_rank, alpha, convention, no_m_factor
           shift_order_target, shift_order_tol, min_remainder_order, no_thresholds,
           sched_coeff, estimate_floor):
     """Epsilon sweep: observed vs predicted shift with fitted orders."""
-    try:
-        scene = load_scene(_resolve_config(ctx, config_path))
-        eps_list = _parse_eps(eps_spec)
-        cal_path = os.path.join(ctx.obj["out"], "calibration.json")
-        result = harness.run_sweep(
-            scene,
-            eps_list,
-            group_rank=group_rank,
-            convention=convention,
-            use_m_factor=not no_m_factor,
-            alpha=alpha,
-            workers=ctx.obj["workers"],
-            seed=ctx.obj["seed"],
-            calibration_path=cal_path if convention == "calibrated" else None,
-            estimate_floor=estimate_floor or alpha > 0.0,
-            sched_coeff=sched_coeff,
+    scene = load_scene(_resolve_config(ctx, config_path))
+    eps_list = _parse_eps(eps_spec)
+    cal_path = os.path.join(ctx.obj["out"], "calibration.json")
+    result = harness.run_sweep(
+        scene,
+        eps_list,
+        group_rank=group_rank,
+        convention=convention,
+        use_m_factor=not no_m_factor,
+        alpha=alpha,
+        workers=ctx.obj["workers"],
+        seed=ctx.obj["seed"],
+        calibration_path=cal_path if convention == "calibrated" else None,
+        estimate_floor=estimate_floor or alpha > 0.0,
+        sched_coeff=sched_coeff,
+    )
+    csv_path = os.path.join(ctx.obj["out"], "sweep.csv")
+    rows = [
+        (r["eps"], r["lambda_bar"], r["lambda"], r["observed_shift"],
+         r["predicted_shift"], r["remainder"], r["overlap"])
+        for r in result.csv_rows()
+    ]
+    _write_csv(
+        csv_path,
+        ["eps", "lambda_bar", "lambda", "observed_shift", "predicted_shift",
+         "remainder", "overlap"],
+        rows,
+    )
+    summary = result.summary()
+    json_path = os.path.join(ctx.obj["out"], "sweep_summary.json")
+    with open(json_path, "w", encoding="utf-8") as fh:
+        json.dump(summary, fh, indent=2)
+    click.echo(csv_path)
+    click.echo(json_path)
+    if not no_thresholds and alpha == 0.0:
+        shift_order = summary["shift_order"]
+        rem_order = summary["remainder_order"]
+        ok = (
+            shift_order is not None
+            and abs(shift_order - shift_order_target) <= shift_order_tol
+            and rem_order is not None
+            and rem_order >= min_remainder_order
         )
-        csv_path = os.path.join(ctx.obj["out"], "sweep.csv")
-        rows = [
-            (r["eps"], r["lambda_bar"], r["lambda"], r["observed_shift"],
-             r["predicted_shift"], r["remainder"], r["overlap"])
-            for r in result.csv_rows()
-        ]
-        _write_csv(
-            csv_path,
-            ["eps", "lambda_bar", "lambda", "observed_shift", "predicted_shift",
-             "remainder", "overlap"],
-            rows,
-        )
-        summary = result.summary()
-        json_path = os.path.join(ctx.obj["out"], "sweep_summary.json")
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2)
-        click.echo(csv_path)
-        click.echo(json_path)
-        if not no_thresholds and alpha == 0.0:
-            shift_order = summary["shift_order"]
-            rem_order = summary["remainder_order"]
-            ok = (
-                shift_order is not None
-                and abs(shift_order - shift_order_target) <= shift_order_tol
-                and rem_order is not None
-                and rem_order >= min_remainder_order
+        if not ok:
+            raise ThresholdError(
+                f"fit thresholds not met: shift_order={shift_order}, "
+                f"remainder_order={rem_order}"
             )
-            if not ok:
-                raise ThresholdError(
-                    f"fit thresholds not met: shift_order={shift_order}, "
-                    f"remainder_order={rem_order}"
-                )
-    except EigenshiftError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(_exit_code(exc))
 
 
 @main.command()
@@ -254,26 +252,22 @@ def sweep(ctx, config_path, eps_spec, group_rank, alpha, convention, no_m_factor
 @click.pass_context
 def weyl(ctx, domain_kind, radius, width, height, count, lam_max):
     """Counting-function and index-growth checks against the Weyl constant."""
-    try:
-        if domain_kind == "disk":
-            domain = DomainSpec(kind="disk", radius=radius)
-        else:
-            domain = DomainSpec(kind="rectangle", width=width, height=height)
-        report = harness.weyl_check(domain, count=count, lam_max=lam_max)
-        payload = {
-            "domain": domain_kind,
-            "counting_slope": report.counting_slope,
-            "weyl_constant": report.weyl_constant,
-            "index_fit_slope": report.index_fit_slope,
-            "index_fit_r2": report.index_fit_r2,
-        }
-        path = os.path.join(ctx.obj["out"], "weyl.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-        click.echo(json.dumps(payload, indent=2))
-    except EigenshiftError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(_exit_code(exc))
+    if domain_kind == "disk":
+        domain = DomainSpec(kind="disk", radius=radius)
+    else:
+        domain = DomainSpec(kind="rectangle", width=width, height=height)
+    report = harness.weyl_check(domain, count=count, lam_max=lam_max)
+    payload = {
+        "domain": domain_kind,
+        "counting_slope": report.counting_slope,
+        "weyl_constant": report.weyl_constant,
+        "index_fit_slope": report.index_fit_slope,
+        "index_fit_r2": report.index_fit_r2,
+    }
+    path = os.path.join(ctx.obj["out"], "weyl.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+    click.echo(json.dumps(payload, indent=2))
 
 
 @main.command()
@@ -284,56 +278,48 @@ def weyl(ctx, domain_kind, radius, width, height, count, lam_max):
 @click.pass_context
 def bounds(ctx, n_groups, probe_x, probe_y, probe_radius):
     """Sup-norm bound table over disk eigenfunction groups."""
-    try:
-        table = harness.sup_norm_bound_table(
-            probe_center=(probe_x, probe_y), probe_radius=probe_radius,
-            n_groups=n_groups,
+    table = harness.sup_norm_bound_table(
+        probe_center=(probe_x, probe_y), probe_radius=probe_radius,
+        n_groups=n_groups,
+    )
+    rows = list(
+        zip(
+            range(1, n_groups + 1),
+            map(float, table["lambda"]),
+            map(int, table["multiplicity"]),
+            map(float, table["sup_u"]),
+            map(float, table["sup_grad_scaled"]),
+            map(float, table["sup_hess_scaled"]),
         )
-        rows = list(
-            zip(
-                range(1, n_groups + 1),
-                map(float, table["lambda"]),
-                map(int, table["multiplicity"]),
-                map(float, table["sup_u"]),
-                map(float, table["sup_grad_scaled"]),
-                map(float, table["sup_hess_scaled"]),
-            )
-        )
-        path = os.path.join(ctx.obj["out"], "bounds.csv")
-        _write_csv(
-            path,
-            ["rank", "lambda", "multiplicity", "sup_u", "sup_grad_scaled", "sup_hess_scaled"],
-            rows,
-        )
-        checks = {}
-        for col in ("sup_u", "sup_grad_scaled", "sup_hess_scaled"):
-            vals = table[col]
-            checks[col] = {
-                "max": float(np.max(vals)),
-                "median": float(np.median(vals)),
-                "max_le_10_median": bool(np.max(vals) <= 10.0 * np.median(vals)),
-            }
-        click.echo(path)
-        click.echo(json.dumps(checks, indent=2))
-    except EigenshiftError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(_exit_code(exc))
+    )
+    path = os.path.join(ctx.obj["out"], "bounds.csv")
+    _write_csv(
+        path,
+        ["rank", "lambda", "multiplicity", "sup_u", "sup_grad_scaled", "sup_hess_scaled"],
+        rows,
+    )
+    checks = {}
+    for col in ("sup_u", "sup_grad_scaled", "sup_hess_scaled"):
+        vals = table[col]
+        checks[col] = {
+            "max": float(np.max(vals)),
+            "median": float(np.median(vals)),
+            "max_le_10_median": bool(np.max(vals) <= 10.0 * np.median(vals)),
+        }
+    click.echo(path)
+    click.echo(json.dumps(checks, indent=2))
 
 
 @main.command()
 @click.pass_context
 def calibrate(ctx):
     """Pick the tensor convention that reproduces measured shifts."""
-    try:
-        path = os.path.join(ctx.obj["out"], "calibration.json")
-        result = harness.calibrate(
-            out_path=path, workers=ctx.obj["workers"], seed=ctx.obj["seed"]
-        )
-        click.echo(path)
-        click.echo(json.dumps(result.to_json(), indent=2))
-    except EigenshiftError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(_exit_code(exc))
+    path = os.path.join(ctx.obj["out"], "calibration.json")
+    result = harness.calibrate(
+        out_path=path, workers=ctx.obj["workers"], seed=ctx.obj["seed"]
+    )
+    click.echo(path)
+    click.echo(json.dumps(result.to_json(), indent=2))
 
 
 if __name__ == "__main__":

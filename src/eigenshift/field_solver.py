@@ -5,6 +5,8 @@ a(x) = 1 + sum_l (k_l - 1) chi(D_l) and the consistent mass form, provides
 zero-mean Neumann source solves (the compact solution operators for the
 perturbed and unperturbed problems), a generalized symmetric eigensolver,
 and overlap-based matching of perturbed eigenvalues to unperturbed groups.
+Fields are nodal vectors only; gradients at a point are recovered by
+`asymptotics.recover_quadratic`.
 
 The pure-Neumann kernel (constants) is handled by grounding one node in
 the source solve - the reduced matrix is symmetric positive definite and
@@ -26,7 +28,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import MatchingError, SolverError, ValidationError
-from .geometry import InclusionSpec, Mesh
+from .geometry import InclusionSpec, Mesh, p1_geometry
 
 _DENSE_EIGEN_LIMIT = 900
 _DENSE_FALLBACK_LIMIT = 3000
@@ -55,10 +57,9 @@ class AssembledSystem:
         """L^2 (mass) inner product of nodal fields."""
         return float(u @ self.mass.dot(v))
 
-    def h1_norm(self, u: np.ndarray, stiffness: Optional[sp.csr_matrix] = None) -> float:
-        """Full H^1 norm; pass an a=1 stiffness to measure perturbed fields."""
-        k = self.stiffness if stiffness is None else stiffness
-        return float(np.sqrt(max(u @ k.dot(u), 0.0) + max(u @ self.mass.dot(u), 0.0)))
+    def h1_norm(self, u: np.ndarray) -> float:
+        """Full H^1 norm in this system's energy and mass forms."""
+        return float(np.sqrt(max(u @ self.stiffness.dot(u), 0.0) + max(u @ self.mass.dot(u), 0.0)))
 
     def _source_lu(self):
         if self._lu is None:
@@ -72,17 +73,10 @@ class DiscreteField:
     values: np.ndarray
     mesh: Mesh
     projected: bool = False  # input mean was projected away in solve_source
-    mean: float = 0.0        # cached mass-weighted mean of `values`
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.values)):
             raise SolverError("non-finite nodal values")
-
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Linear interpolation at interior points."""
-        points = np.atleast_2d(points)
-        tri_idx, bary = _locate(self.mesh, points)
-        return np.einsum("pi,pi->p", self.values[self.mesh.triangles[tri_idx]], bary)
 
 
 @dataclass
@@ -151,11 +145,7 @@ def assemble(mesh: Mesh, inclusions: Sequence[InclusionSpec]) -> AssembledSystem
         for l, inc in enumerate(inclusions):
             coeff[mesh.region == l] = inc.k
 
-    p = mesh.nodes[mesh.triangles]
-    e = np.stack(
-        [p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1
-    )  # edge opposite each vertex; K and M below are orientation-free
-    area = np.abs(0.5 * (e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0]))
+    e, area = p1_geometry(mesh.nodes, mesh.triangles)  # K and M are orientation-free
     if np.any(area <= 0):
         raise SolverError("degenerate triangle in assembly")
 
@@ -202,8 +192,7 @@ def solve_source(system: AssembledSystem, g) -> DiscreteField:
     if not np.isfinite(residual) or residual > 1e-8 * b_norm:
         raise SolverError(f"source solve residual {residual:.2e} too large")
     u -= system.mean(u)
-    return DiscreteField(values=u, mesh=system.mesh, projected=projected,
-                         mean=system.mean(u))
+    return DiscreteField(values=u, mesh=system.mesh, projected=projected)
 
 
 # ---------------------------------------------------------------------------
@@ -369,45 +358,3 @@ def build_operators(config) -> SceneOperators:
         unperturbed=assemble(mesh, ()),
         perturbed=assemble(mesh, active),
     )
-
-
-# ---------------------------------------------------------------------------
-# point location for DiscreteField.evaluate
-# ---------------------------------------------------------------------------
-_LOCATE_CACHE: dict = {}
-
-
-def _locate(mesh: Mesh, points: np.ndarray):
-    from scipy.spatial import cKDTree
-
-    key = id(mesh)
-    if key not in _LOCATE_CACHE:
-        _LOCATE_CACHE[key] = cKDTree(mesh.centroids)
-    tree = _LOCATE_CACHE[key]
-    tri_idx = np.empty(len(points), dtype=np.int64)
-    bary = np.empty((len(points), 3))
-    p = mesh.nodes[mesh.triangles]
-    for k_guess in (12, 48):
-        _, cand = tree.query(points, k=k_guess)
-        found = np.zeros(len(points), dtype=bool)
-        for c in range(cand.shape[1]):
-            t = cand[:, c]
-            b = _barycentric(p[t], points)
-            ok = (~found) & np.all(b >= -1e-9, axis=1)
-            tri_idx[ok] = t[ok]
-            bary[ok] = b[ok]
-            found |= ok
-        if np.all(found):
-            return tri_idx, bary
-    raise SolverError("point location failed; points outside the mesh?")
-
-
-def _barycentric(tri_pts: np.ndarray, points: np.ndarray) -> np.ndarray:
-    a, b, c = tri_pts[:, 0], tri_pts[:, 1], tri_pts[:, 2]
-    v0 = b - a
-    v1 = c - a
-    v2 = points - a
-    den = v0[:, 0] * v1[:, 1] - v1[:, 0] * v0[:, 1]
-    w1 = (v2[:, 0] * v1[:, 1] - v1[:, 0] * v2[:, 1]) / den
-    w2 = (v0[:, 0] * v2[:, 1] - v2[:, 0] * v0[:, 1]) / den
-    return np.column_stack([1.0 - w1 - w2, w1, w2])

@@ -437,7 +437,10 @@ def scene_from_json(obj: dict) -> SceneConfig:
 
 def load_scene(path: str) -> SceneConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return scene_from_json(json.load(fh))
+        try:
+            return scene_from_json(json.load(fh))
+        except (json.JSONDecodeError, KeyError) as exc:
+            raise ValidationError(f"{path} is not a scene file: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -458,42 +461,33 @@ class Mesh:
 
     @property
     def areas(self) -> np.ndarray:
-        p = self.nodes[self.triangles]
-        return 0.5 * np.abs(
-            (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-            - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-        )
+        return p1_geometry(self.nodes, self.triangles)[1]
 
     @property
     def centroids(self) -> np.ndarray:
         return self.nodes[self.triangles].mean(axis=1)
 
     def min_angle(self) -> float:
-        p = self.nodes[self.triangles]
+        e, _ = p1_geometry(self.nodes, self.triangles)
         angles = []
         for i in range(3):
-            a = p[:, (i + 1) % 3] - p[:, i]
-            b = p[:, (i + 2) % 3] - p[:, i]
+            # the two edges meeting at vertex i, both pointing away from it
+            a, b = e[:, (i + 2) % 3], -e[:, (i + 1) % 3]
             cosang = np.sum(a * b, axis=1) / (np.hypot(*a.T) * np.hypot(*b.T))
             angles.append(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
         return float(np.min(angles))
 
-    def edge_lengths(self) -> np.ndarray:
-        p = self.nodes[self.triangles]
-        out = []
-        for i in range(3):
-            out.append(np.hypot(*(p[:, (i + 1) % 3] - p[:, i]).T))
-        return np.concatenate(out)
 
-    def to_off(self, path: str) -> None:
-        """Plain-text OFF-like export for debugging."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("OFF\n")
-            fh.write(f"{len(self.nodes)} {len(self.triangles)} 0\n")
-            for x, y in self.nodes:
-                fh.write(f"{x:.12g} {y:.12g} 0\n")
-            for (a, b, c), tag in zip(self.triangles, self.region):
-                fh.write(f"3 {a} {b} {c} {tag}\n")
+def p1_geometry(nodes: np.ndarray, triangles: np.ndarray):
+    """Edge opposite each vertex, shape (t, 3, 2), and area, shape (t,).
+
+    Edge i joins the other two vertices, so the P1 basis gradient of
+    vertex i is rot90(e_i) / (2 * area) up to the triangle's orientation.
+    """
+    p = nodes[triangles]
+    e = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1)
+    area = np.abs(0.5 * (e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0]))
+    return e, area
 
 
 def _hex_grid(bbox: tuple, h: float) -> np.ndarray:

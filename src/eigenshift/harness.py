@@ -1,13 +1,19 @@
 """Sweep orchestration: rate fitting, Weyl checks, sup-norm bound tables,
 convention calibration, and the per-epsilon eigenvalue-shift experiment.
 
-Each sweep point builds one inclusion-conforming mesh and differences
-perturbed against unperturbed eigenvalues on it.  The background
-resolution follows h0(eps) = min(mesh_h, c * eps^(5/4)): measured on the
-disk benchmark, a fixed global h leaves an eps-independent absolute bias
-(~2e-6 at h=0.02) that would swamp the eps^(5/2) remainder at the
-smallest eps, while the eps^(5/4) schedule keeps the bias below the
-remainder envelope at every point.
+A sweep first observes, then scores.  Observing is the expensive FEM
+part: each sweep point builds one inclusion-conforming mesh and
+differences perturbed against unperturbed eigenvalues on it (plus an
+optional noise-floor estimate).  Scoring is cheap and is done by
+`apply_convention` alone: predictions under one tensor convention,
+remainders, the shift and remainder fits and the ratio monotonicity, so
+calibration re-scores one set of observations under every candidate.
+
+The background resolution follows h0(eps) = min(mesh_h, c * eps^(5/4)):
+measured on the disk benchmark, a fixed global h leaves an
+eps-independent absolute bias (~2e-6 at h=0.02) that would swamp the
+eps^(5/2) remainder at the smallest eps, while the eps^(5/4) schedule
+keeps the bias below the remainder envelope at every point.
 """
 
 from __future__ import annotations
@@ -107,12 +113,15 @@ class WeylReport:
 
 
 def _rectangle_eigenvalues(width: float, height: float, lam_max: float) -> np.ndarray:
+    # (pi/w)^2 m^2 rather than (m pi/w)^2: on the pi x pi square the
+    # scales are exactly 1, so eigenvalues equal the lattice values m^2 + n^2
+    cx, cy = (np.pi / width) ** 2, (np.pi / height) ** 2
     out = []
     m = 0
-    while (m * np.pi / width) ** 2 <= lam_max:
+    while cx * m * m <= lam_max:
         n = 0
         while True:
-            lam = (m * np.pi / width) ** 2 + (n * np.pi / height) ** 2
+            lam = cx * m * m + cy * n * n
             if lam > lam_max:
                 break
             out.append(lam)
@@ -237,20 +246,23 @@ class SweepPoint:
 
 @dataclass
 class SweepResult:
+    """A sweep's observations and, once apply_convention has scored them,
+    its predictions, remainders and fits under one convention."""
+
     points: list
     scene: SceneConfig
-    convention: str
-    use_m_factor: bool
-    predicted: np.ndarray
     observed: np.ndarray
-    remainder: np.ndarray
-    shift_fit: Optional[RateReport]
-    remainder_fit: Optional[RateReport]
-    ratio_monotone: bool
     group_rank: int
-    alpha: float = 0.0
-    noise_floor: Optional[float] = None
-    floor_dominated: bool = False
+    alpha: float
+    noise_floor: Optional[float]
+    floor_dominated: bool
+    convention: Optional[str] = None
+    use_m_factor: bool = True
+    predicted: Optional[np.ndarray] = None
+    remainder: Optional[np.ndarray] = None
+    shift_fit: Optional[RateReport] = None
+    remainder_fit: Optional[RateReport] = None
+    ratio_monotone: bool = False
 
     def summary(self) -> dict:
         point = self.points[0]
@@ -417,9 +429,14 @@ def run_sweep(
         if calibration_path is None:
             raise ValidationError("convention='calibrated' needs calibration_path")
         with open(calibration_path, "r", encoding="utf-8") as fh:
-            cal = json.load(fh)
-        convention = cal["convention"]
-        use_m_factor = bool(cal["use_m_factor"])
+            try:
+                cal = json.load(fh)
+                convention = cal["convention"]
+                use_m_factor = bool(cal["use_m_factor"])
+            except (json.JSONDecodeError, KeyError) as exc:
+                raise ValidationError(
+                    f"{calibration_path} is not a calibration file (run calibrate): {exc!r}"
+                ) from exc
 
     if sched_coeff is None:
         # with a growing index the gaps are large, so the bias-control
@@ -437,41 +454,21 @@ def run_sweep(
         points = [_sweep_point(*j) for j in jobs]
 
     observed = np.array([p.observed for p in points])
-    predicted = _predictions(points, scene, convention, use_m_factor)
-    remainder = np.abs(observed - predicted)
-
-    shift_fit = remainder_fit = None
-    abs_obs = np.abs(observed)
-    if np.all(abs_obs > 0):
-        shift_fit = fit_rate(list(zip(eps_list, abs_obs)))
-    if np.all(remainder > 0):
-        remainder_fit = fit_rate(list(zip(eps_list, remainder)))
-
-    ratio = remainder / np.maximum(abs_obs, 1e-300)
-    ratio_monotone = bool(np.all(np.diff(ratio) >= 0.0))  # eps ascending
-
     noise_floor = None
     floor_dominated = False
     if estimate_floor:
         noise_floor = _noise_floor(scene, eps_list[0], ranks[0], seed, sched_coeff)
-        floor_dominated = bool(noise_floor >= 0.3 * abs_obs[0])
-
-    return SweepResult(
+        floor_dominated = bool(noise_floor >= 0.3 * abs(observed[0]))
+    observations = SweepResult(
         points=points,
         scene=scene,
-        convention=convention,
-        use_m_factor=use_m_factor,
-        predicted=predicted,
         observed=observed,
-        remainder=remainder,
-        shift_fit=shift_fit,
-        remainder_fit=remainder_fit,
-        ratio_monotone=ratio_monotone,
         group_rank=group_rank,
         alpha=alpha,
         noise_floor=noise_floor,
         floor_dominated=floor_dominated,
     )
+    return apply_convention(observations, convention, use_m_factor)
 
 
 def _sweep_point_star(args):
@@ -479,32 +476,27 @@ def _sweep_point_star(args):
 
 
 def apply_convention(result: SweepResult, convention: str, use_m_factor: bool) -> SweepResult:
-    """Re-score an existing sweep's observations under another convention.
+    """Score a sweep's observations under one convention.
 
-    Only predictions change; the FEM observations are reused as-is.
+    Predictions, remainders, the shift and remainder fits and the ratio
+    monotonicity are computed here; the FEM observations are reused as-is.
     """
-    predicted = _predictions(result.points, result.scene, convention, use_m_factor)
-    remainder = np.abs(result.observed - predicted)
-    remainder_fit = None
     eps = [p.eps for p in result.points]
-    if np.all(remainder > 0):
-        remainder_fit = fit_rate(list(zip(eps, remainder)))
-    ratio = remainder / np.maximum(np.abs(result.observed), 1e-300)
-    return SweepResult(
-        points=result.points,
-        scene=result.scene,
+    predicted = _predictions(result.points, result.scene, convention, use_m_factor)
+    abs_obs = np.abs(result.observed)
+    remainder = np.abs(result.observed - predicted)
+    shift_fit = fit_rate(list(zip(eps, abs_obs))) if np.all(abs_obs > 0) else None
+    remainder_fit = fit_rate(list(zip(eps, remainder))) if np.all(remainder > 0) else None
+    ratio = remainder / np.maximum(abs_obs, 1e-300)
+    return replace(
+        result,
         convention=convention,
         use_m_factor=use_m_factor,
         predicted=predicted,
-        observed=result.observed,
         remainder=remainder,
-        shift_fit=result.shift_fit,
+        shift_fit=shift_fit,
         remainder_fit=remainder_fit,
-        ratio_monotone=bool(np.all(np.diff(ratio) >= 0.0)),
-        group_rank=result.group_rank,
-        alpha=result.alpha,
-        noise_floor=result.noise_floor,
-        floor_dominated=result.floor_dominated,
+        ratio_monotone=bool(np.all(np.diff(ratio) >= 0.0)),  # eps ascending
     )
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eigenshift import asymptotics as asy
 from eigenshift import disk_spectrum as ds
@@ -50,7 +50,6 @@ class TestPredictedShift:
         p1 = asy.predicted_shift(g2, [inc], [disk_tensor], 0.05)
         p2 = asy.predicted_shift(g2, [inc], [disk_tensor], 0.10)
         assert p2.value == pytest.approx(4.0 * p1.value, rel=1e-14)
-        assert p1.rescaled(0.10) == pytest.approx(p2.value, rel=1e-14)
 
     def test_additive_over_inclusions(self, analytic_groups, disk_tensor):
         g2 = analytic_groups[1]
@@ -134,7 +133,10 @@ class TestRecovery:
         mults = [g.multiplicity for g in analytic_groups[:3]]
         groups = fs.cluster_spectrum(pairs, multiplicities=mults)
         grp = groups[1]
-        rec = asy.group_gradients(grp, scene_ops.mesh, [make_inclusion()], radius=0.15)
+        rec = np.array([
+            [asy.recover_quadratic(scene_ops.mesh, grp.vectors[:, j], (0.4, 0.0), radius=0.15)[1]]
+            for j in range(grp.multiplicity)
+        ])  # (m, 1, 2)
         exact = np.stack([analytic_groups[1].gradients_at((0.4, 0.0))], axis=1)
         # compare the basis-invariant Gram matrices of the gradient sets;
         # the fit bias is O(radius^2) ~ 1e-2 at radius = 3h
@@ -170,20 +172,17 @@ class TestOsborn:
             1.0 / groups[1].lam - 1.0 / matched[1].harmonic_average, rel=1e-12
         )
 
-    def test_gap(self, matched_pair):
-        groups, matched = matched_pair
-        gap = asy.group_gap(groups[1], matched[1])
-        assert gap == pytest.approx(
-            abs(matched[1].harmonic_average - groups[1].lam), rel=1e-15
-        )
-
     @settings(max_examples=40, deadline=None)
     @given(st.floats(0.1, 50.0), st.floats(0.1, 50.0))
+    @example(0.1, 0.10000000000000002)
     def test_reciprocal_identity(self, lam_a, lam_b):
-        # |mu_eps - mu| = |lam_eps - lam| / (lam_eps lam) for matched scalars
+        # |mu_eps - mu| = |lam_eps - lam| / (lam_eps lam) for matched scalars;
+        # rounding the two reciprocals costs up to one ulp of the larger one,
+        # which the subtraction cannot cancel when lam_a and lam_b nearly agree
         lhs = abs(1.0 / lam_a - 1.0 / lam_b)
         rhs = abs(lam_b - lam_a) / (lam_a * lam_b)
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-300)
+        ulp = np.spacing(max(1.0 / lam_a, 1.0 / lam_b))
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=4.0 * ulp)
 
 
 class TestEnergy:

@@ -155,6 +155,36 @@ class TestSweepCommand:
         )
         assert result.exit_code == 2
 
+    def test_malformed_eps_exit_2(self, runner, tmp_path):
+        cfg = write_scene(tmp_path / "scene.json")
+        result = runner.invoke(
+            main,
+            ["--out", str(tmp_path), "sweep", "--config", cfg, "--eps", "0.02:0.08",
+             "--convention", "literature"],
+        )
+        assert result.exit_code == 2, result.output
+        assert "--eps" in result.output
+
+    @pytest.mark.parametrize("text", ["", "{}"])
+    def test_malformed_scene_exit_2(self, runner, tmp_path, text):
+        cfg = tmp_path / "scene.json"
+        cfg.write_text(text)
+        result = runner.invoke(
+            main,
+            ["--out", str(tmp_path), "sweep", "--config", str(cfg), "--eps", "0.05,0.07,0.09",
+             "--convention", "literature"],
+        )
+        assert result.exit_code == 2, result.output
+
+    def test_calibration_without_keys_exit_2(self, runner, tmp_path):
+        cfg = write_scene(tmp_path / "scene.json")
+        (tmp_path / "calibration.json").write_text("{}")
+        result = runner.invoke(
+            main,
+            ["--out", str(tmp_path), "sweep", "--config", cfg, "--eps", "0.05,0.07,0.09"],
+        )
+        assert result.exit_code == 2, result.output
+
     def test_sweep_csv_and_summary(self, runner, tmp_path):
         cfg = write_scene(tmp_path / "scene.json")
         result = runner.invoke(

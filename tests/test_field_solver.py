@@ -232,14 +232,6 @@ class TestMatching:
 
 
 class TestDiscreteField:
-    def test_linear_interpolation_exact(self, disk_system):
-        mesh = disk_system.mesh
-        vals = 2.0 * mesh.nodes[:, 0] - 0.7 * mesh.nodes[:, 1] + 0.3
-        f = fs.DiscreteField(values=vals, mesh=mesh)
-        pts = np.array([[0.11, 0.23], [-0.5, 0.1], [0.0, 0.0]])
-        expected = 2.0 * pts[:, 0] - 0.7 * pts[:, 1] + 0.3
-        assert np.allclose(f.evaluate(pts), expected, atol=1e-12)
-
     def test_nonfinite_rejected(self, disk_system):
         bad = np.full(disk_system.n, np.nan)
         with pytest.raises(SolverError):

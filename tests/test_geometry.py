@@ -168,13 +168,3 @@ class TestSerialization:
         assert back.d0 == cfg.d0
         assert back.mesh_h == cfg.mesh_h
         assert back.inclusions[1].shape == cfg.inclusions[1].shape
-
-    def test_off_export(self, tmp_path):
-        cfg = geo.SceneConfig(domain=UNIT_DISK, inclusions=(), d0=0.3, mesh_h=0.2)
-        mesh = geo.build_mesh(cfg)
-        path = tmp_path / "mesh.off"
-        mesh.to_off(str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "OFF"
-        n, m, _ = map(int, lines[1].split())
-        assert n == len(mesh.nodes) and m == len(mesh.triangles)

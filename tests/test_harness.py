@@ -70,6 +70,17 @@ class TestWeyl:
         lams = harness._rectangle_eigenvalues(np.pi, np.pi, 200.0)
         assert len(lams) == count
 
+    def test_rectangle_counts_match_lattice_on_grid(self):
+        # N(lambda) on the pi x pi square counts m^2 + n^2 <= lambda; grid
+        # points such as 170 = 1 + 169 = 49 + 121 are eigenvalues themselves
+        rep = harness.weyl_check(DomainSpec(kind="rectangle", width=np.pi, height=np.pi))
+        lattice = [
+            sum(1 for m_ in range(15) for n_ in range(15) if m_ * m_ + n_ * n_ <= lam)
+            for lam in rep.lambda_grid
+        ]
+        assert len(lattice) == 20
+        assert rep.counts.tolist() == lattice
+
     def test_disk_index_linearity(self):
         rep = harness.weyl_check(DomainSpec(kind="disk", radius=1.0), count=160)
         assert rep.index_fit_r2 >= 0.99

@@ -30,7 +30,6 @@ import numpy as np
 from .errors import ValidationError
 from .field_solver import (
     AssembledSystem,
-    DiscreteField,
     DiscreteGroup,
     PerturbedGroup,
     SceneOperators,
@@ -147,7 +146,7 @@ def osborn_residual(
     diffs = []
     for j in range(m):
         u_j = group.vectors[:, j]
-        v_eps = solve_source(pert_system, u_j).values
+        v_eps = solve_source(pert_system, u_j)
         inner += unpert_system.inner(u_j / lam_ref - v_eps, u_j)
         diffs.append(u_j / group.lambdas[j] - v_eps)  # exact T u_j = u_j/lam_j
     inner /= m
@@ -177,16 +176,16 @@ class EnergyReport:
 def energy_estimate(ops: SceneOperators, g, corrector: Corrector) -> EnergyReport:
     """Measure the source-problem convergence and the corrector's effect.
 
-    `g` is the source (DiscreteField or nodal array); the corrector must
+    `g` is the source as a nodal array; the corrector must
     correspond to the unperturbed solution u = T g of the same scene and
     is placed at its first active inclusion.  The three sup-norms on that
     inclusion are measured from the discrete solution itself.
     """
     inc = [i for i in ops.config.inclusions if i.epsilon > 0.0][0]
     eps = inc.epsilon
-    g_vals = g.values if isinstance(g, DiscreteField) else np.asarray(g, dtype=float)
-    u_eps = solve_source(ops.perturbed, g_vals).values
-    u = solve_source(ops.unperturbed, g_vals).values
+    g_vals = np.asarray(g, dtype=float)
+    u_eps = solve_source(ops.perturbed, g_vals)
+    u = solve_source(ops.unperturbed, g_vals)
     diff = u_eps - u
     h1_unc = ops.unperturbed.h1_norm(diff)
     w = corrector.scaled_physical(ops.mesh.nodes, inc.center, eps)

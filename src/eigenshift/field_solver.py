@@ -2,17 +2,20 @@
 
 Assembles the conductivity-weighted stiffness form for
 a(x) = 1 + sum_l (k_l - 1) chi(D_l) and the consistent mass form, provides
-zero-mean Neumann source solves (the compact solution operators for the
-perturbed and unperturbed problems), a generalized symmetric eigensolver,
-and overlap-based matching of perturbed eigenvalues to unperturbed groups.
-Fields are nodal vectors only; gradients at a point are recovered by
-`asymptotics.recover_quadratic`.
+zero-mean Neumann source solves (the compact solution operators T and
+T_eps for the unperturbed and perturbed problems), the generalized
+symmetric eigensolve, and overlap-based matching of perturbed eigenvalues
+to unperturbed groups.  Fields are nodal arrays only; gradients at a
+point are recovered by `asymptotics.recover_quadratic`.
 
 The pure-Neumann kernel (constants) is handled by grounding one node in
 the source solve - the reduced matrix is symmetric positive definite and
 the grounded solution satisfies the full singular system exactly because
 the projected right-hand side is range-compatible - followed by a
-mass-mean shift.  Perturbed and unperturbed systems share one
+mass-mean shift.  The eigensolve iterates the same T, whose largest
+eigenvalues are 1/lambda, so one factorization of each system serves its
+source solves and its eigenpairs; the constant mode (lambda = 0) is added
+exactly.  Perturbed and unperturbed systems share one
 inclusion-conforming mesh so eigenvalue differences cancel the leading
 discretization error.
 """
@@ -23,15 +26,11 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import MatchingError, SolverError, ValidationError
 from .geometry import InclusionSpec, Mesh, p1_geometry
-
-_DENSE_EIGEN_LIMIT = 900
-_DENSE_FALLBACK_LIMIT = 3000
 
 
 @dataclass
@@ -66,17 +65,6 @@ class AssembledSystem:
             reduced = self.stiffness[1:, 1:].tocsc()
             self._lu = spla.splu(reduced)
         return self._lu
-
-
-@dataclass
-class DiscreteField:
-    values: np.ndarray
-    mesh: Mesh
-    projected: bool = False  # input mean was projected away in solve_source
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
-            raise SolverError("non-finite nodal values")
 
 
 @dataclass
@@ -170,29 +158,29 @@ def assemble(mesh: Mesh, inclusions: Sequence[InclusionSpec]) -> AssembledSystem
 # ---------------------------------------------------------------------------
 # source solve (the compact operator T / T_eps)
 # ---------------------------------------------------------------------------
-def solve_source(system: AssembledSystem, g) -> DiscreteField:
+def solve_source(system: AssembledSystem, g) -> np.ndarray:
     """Solve -div(a grad u) = g with zero Neumann data and mean(u) = 0.
 
-    The right-hand side is projected onto zero mass-mean first; a result
-    flag records whether a non-negligible projection happened.
+    The right-hand side is projected onto zero mass-mean first.  Returns
+    the nodal values of u = T g.
     """
-    values = g.values if isinstance(g, DiscreteField) else np.asarray(g, dtype=float)
+    values = np.asarray(g, dtype=float)
     if values.shape != (system.n,):
         raise ValidationError("source field does not match the system size")
-    mean_g = system.mean(values)
-    scale = float(np.max(np.abs(values))) or 1.0
-    projected = abs(mean_g) > 1e-10 * scale
-    g_tilde = values - mean_g
-    b = system.mass.dot(g_tilde)
+    return _grounded_solve(system, system.mass.dot(values - system.mean(values)))
 
+
+def _grounded_solve(system: AssembledSystem, b: np.ndarray) -> np.ndarray:
+    """Mass-mean-zero u with K u = b for a zero-sum load b, on the
+    factorization of the grounded stiffness K[1:, 1:]."""
     u = np.zeros(system.n)
     u[1:] = system._source_lu().solve(b[1:])
     residual = np.linalg.norm(system.stiffness.dot(u) - b)
     b_norm = np.linalg.norm(b) or 1.0
-    if not np.isfinite(residual) or residual > 1e-8 * b_norm:
+    if not residual <= 1e-8 * b_norm:
         raise SolverError(f"source solve residual {residual:.2e} too large")
     u -= system.mean(u)
-    return DiscreteField(values=u, mesh=system.mesh, projected=projected)
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -201,55 +189,58 @@ def solve_source(system: AssembledSystem, g) -> DiscreteField:
 def solve_eigen(system: AssembledSystem, count: int, seed: int = 0) -> list:
     """Smallest `count` eigenpairs of K u = lambda M u, mass-orthonormal.
 
-    Returns a list of (lambda, DiscreteField), lambda ascending,
-    lambda_1 ~= 0 with the constant eigenvector.
+    Returns a list of (lambda, nodal vector), lambda ascending.  The first
+    pair is the constant mode, exactly: lambda = 0 with u = 1/sqrt(|Omega|).
+    The others are the largest eigenvalues 1/lambda of the compact operator
+    T that `solve_source` applies, iterated by ARPACK on the same grounded
+    factorization, so each system is factorized once for both solves.
+    Raises SolverError unless the vectors are M-orthonormal to 1e-8 and
+    every iterated pair satisfies ||K v - lambda M v|| <= 1e-8 (||K v|| +
+    |lambda| ||M v||).
     """
     if not 1 <= count <= 300:
         raise ValidationError("count must be in [1, 300]")
-    if count >= system.n - 1:
-        raise ValidationError("count too large for this mesh")
-    lams, vecs = _eigen_arrays(system, count, seed)
-    fields = [DiscreteField(values=vecs[:, j], mesh=system.mesh) for j in range(count)]
-    return [(float(lams[j]), fields[j]) for j in range(count)]
-
-
-def _eigen_arrays(system: AssembledSystem, count: int, seed: int = 0):
     n = system.n
-    if n <= _DENSE_EIGEN_LIMIT:
-        lams, vecs = _eigen_dense(system, count)
-    else:
-        sigma = -0.5 * (4.0 * np.pi / system.domain_measure)
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(n)
+    if count >= n - 1:
+        raise ValidationError("count too large for this mesh")
+    measure = system.domain_measure
+    lams = np.zeros(1)
+    vecs = np.full((n, 1), 1.0 / np.sqrt(measure))
+    if count > 1:
+        unit_load = system.mass.dot(np.ones(n)) / measure
+
+        def apply_t(b):
+            b = np.ravel(b)
+            return _grounded_solve(system, b - b.sum() * unit_load)
+
+        v0 = np.random.default_rng(seed).standard_normal(n)
         try:
-            lams, vecs = spla.eigsh(
+            w, v = spla.eigsh(
                 system.stiffness,
-                k=count,
+                k=count - 1,
                 M=system.mass,
-                sigma=sigma,
+                sigma=0.0,
                 which="LM",
-                v0=v0,
+                OPinv=spla.LinearOperator((n, n), matvec=apply_t, dtype=float),
+                v0=v0 - system.mean(v0),
                 ncv=min(n - 1, max(2 * count + 20, 40)),
             )
         except (spla.ArpackError, RuntimeError) as exc:
-            if n <= _DENSE_FALLBACK_LIMIT:
-                lams, vecs = _eigen_dense(system, count)
-            else:
-                raise SolverError(f"eigensolver failed: {exc}") from exc
-    order = np.argsort(lams)
-    lams, vecs = lams[order], vecs[:, order]
+            raise SolverError(f"eigensolver failed: {exc}") from exc
+        order = np.argsort(w)
+        lams = np.concatenate([lams, w[order]])
+        vecs = np.column_stack([vecs, v[:, order]])
     vecs = _mass_orthonormalize(system, vecs)
-    gram = vecs.T @ system.mass.dot(vecs)
-    if np.max(np.abs(gram - np.eye(count))) > 1e-8:
+    mv = system.mass.dot(vecs)
+    if not np.max(np.abs(vecs.T @ mv - np.eye(count))) <= 1e-8:
         raise SolverError("eigenvectors failed mass-orthonormality")
-    return lams, vecs
-
-
-def _eigen_dense(system: AssembledSystem, count: int):
-    k = system.stiffness.toarray()
-    m = system.mass.toarray()
-    lams, vecs = scipy.linalg.eigh(k, m, subset_by_index=[0, count - 1])
-    return lams, vecs
+    # the constant mode is exact; its residual K 1 is the assembly's rounding
+    kv = system.stiffness.dot(vecs[:, 1:])
+    residual = np.linalg.norm(kv - mv[:, 1:] * lams[1:], axis=0)
+    scale = np.linalg.norm(kv, axis=0) + np.abs(lams[1:]) * np.linalg.norm(mv[:, 1:], axis=0)
+    if not np.all(residual <= 1e-8 * scale):
+        raise SolverError(f"eigen residual {np.max(residual / scale):.2e} too large")
+    return [(float(lams[j]), vecs[:, j]) for j in range(count)]
 
 
 def _mass_orthonormalize(system: AssembledSystem, vecs: np.ndarray) -> np.ndarray:
@@ -266,14 +257,14 @@ def cluster_spectrum(
     multiplicities: Optional[Sequence[int]] = None,
     rel_gap: float = 1e-5,
 ) -> list:
-    """Group (lambda, DiscreteField) pairs into DiscreteGroups.
+    """Group (lambda, nodal vector) pairs into DiscreteGroups.
 
     With `multiplicities` (e.g. from the analytic disk spectrum) the
     pairs are chunked by rank; otherwise consecutive relative gaps below
     `rel_gap` merge.
     """
     lams = np.array([p[0] for p in eigenpairs])
-    vecs = np.column_stack([p[1].values for p in eigenpairs])
+    vecs = np.column_stack([p[1] for p in eigenpairs])
     groups = []
     if multiplicities is not None:
         pos = 0
@@ -308,7 +299,7 @@ def match_groups(
     """Match each unperturbed group to the perturbed eigenpairs with the
     largest projection energy onto the group's span."""
     lams = np.array([p[0] for p in perturbed_spectrum])
-    vecs = np.column_stack([p[1].values for p in perturbed_spectrum])
+    vecs = np.column_stack([p[1] for p in perturbed_spectrum])
     proj = system.mass.dot(vecs)
     used = np.zeros(len(lams), dtype=bool)
     out = []

@@ -439,7 +439,7 @@ def load_scene(path: str) -> SceneConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return scene_from_json(json.load(fh))
-        except (json.JSONDecodeError, KeyError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ValidationError(f"{path} is not a scene file: {exc!r}") from exc
 
 

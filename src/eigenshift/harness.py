@@ -428,15 +428,17 @@ def run_sweep(
     if convention == "calibrated":
         if calibration_path is None:
             raise ValidationError("convention='calibrated' needs calibration_path")
-        with open(calibration_path, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(calibration_path, "r", encoding="utf-8") as fh:
                 cal = json.load(fh)
-                convention = cal["convention"]
-                use_m_factor = bool(cal["use_m_factor"])
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise ValidationError(
-                    f"{calibration_path} is not a calibration file (run calibrate): {exc!r}"
-                ) from exc
+            convention = cal["convention"]
+            use_m_factor = bool(cal["use_m_factor"])
+        except FileNotFoundError as exc:
+            raise ValidationError(f"{calibration_path} not found: run calibrate first") from exc
+        except (json.JSONDecodeError, KeyError) as exc:
+            raise ValidationError(
+                f"{calibration_path} is not a calibration file (run calibrate): {exc!r}"
+            ) from exc
 
     if sched_coeff is None:
         # with a growing index the gaps are large, so the bias-control

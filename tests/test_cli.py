@@ -165,7 +165,15 @@ class TestSweepCommand:
         assert result.exit_code == 2, result.output
         assert "--eps" in result.output
 
-    @pytest.mark.parametrize("text", ["", "{}"])
+    @pytest.mark.parametrize("text", [
+        "",
+        "{}",
+        pytest.param(json.dumps({**geo.scene_to_json(harness.benchmark_scene(mesh_h=0.06)),
+                                 "d0": "x"}), id="d0-not-a-number"),
+        pytest.param("[1, 2]", id="scene-not-an-object"),
+        pytest.param(json.dumps({"domain": [1], "d0": 0.3, "mesh_h": 0.06}),
+                     id="domain-not-an-object"),
+    ])
     def test_malformed_scene_exit_2(self, runner, tmp_path, text):
         cfg = tmp_path / "scene.json"
         cfg.write_text(text)
@@ -175,6 +183,15 @@ class TestSweepCommand:
              "--convention", "literature"],
         )
         assert result.exit_code == 2, result.output
+
+    def test_calibration_missing_exit_2(self, runner, tmp_path):
+        cfg = write_scene(tmp_path / "scene.json")
+        result = runner.invoke(
+            main,
+            ["--out", str(tmp_path), "sweep", "--config", cfg, "--eps", "0.05,0.07,0.09"],
+        )
+        assert result.exit_code == 2, result.output
+        assert "run calibrate first" in result.output
 
     def test_calibration_without_keys_exit_2(self, runner, tmp_path):
         cfg = write_scene(tmp_path / "scene.json")

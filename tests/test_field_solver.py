@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from eigenshift import disk_spectrum as ds
 from eigenshift import field_solver as fs
@@ -62,30 +63,29 @@ class TestAssemble:
 class TestSolveSource:
     def test_zero_source(self, rect_system):
         u = fs.solve_source(rect_system, np.zeros(rect_system.n))
-        assert np.max(np.abs(u.values)) == 0.0
+        assert np.max(np.abs(u)) == 0.0
 
     def test_cosine_oracle(self, rect_system):
         # -lap u = cos x with zero Neumann flux at x = 0, pi -> u = cos x
         x = rect_system.mesh.nodes[:, 0]
         g = np.cos(x)
         u = fs.solve_source(rect_system, g)
-        err = u.values - np.cos(x)
+        err = u - np.cos(x)
         l2 = np.sqrt(err @ rect_system.mass.dot(err))
         assert l2 < 3e-3  # O(h^2) at h = 0.05
 
-    def test_mean_zero_and_projection_flag(self, rect_system):
+    def test_mean_zero(self, rect_system):
         rng = np.random.default_rng(0)
         g = rng.standard_normal(rect_system.n) + 0.5
         u = fs.solve_source(rect_system, g)
-        assert u.projected
-        assert abs(rect_system.mean(u.values)) < 1e-12
+        assert abs(rect_system.mean(u)) < 1e-12
 
     def test_self_adjoint(self, rect_system):
         rng = np.random.default_rng(1)
         g = rng.standard_normal(rect_system.n)
         h = rng.standard_normal(rect_system.n)
-        tg = fs.solve_source(rect_system, g).values
-        th = fs.solve_source(rect_system, h).values
+        tg = fs.solve_source(rect_system, g)
+        th = fs.solve_source(rect_system, h)
         lhs = rect_system.inner(tg, h)
         rhs = rect_system.inner(g, th)
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
@@ -94,7 +94,7 @@ class TestSolveSource:
         rng = np.random.default_rng(2)
         for _ in range(3):
             g = rng.standard_normal(rect_system.n)
-            tg = fs.solve_source(rect_system, g).values
+            tg = fs.solve_source(rect_system, g)
             assert rect_system.inner(g, tg) >= -1e-12
 
     def test_perturbed_operator_self_adjoint(self, inclusion_scene):
@@ -102,12 +102,17 @@ class TestSolveSource:
         rng = np.random.default_rng(3)
         g = rng.standard_normal(pert.n)
         h = rng.standard_normal(pert.n)
-        tg = fs.solve_source(pert, g).values
-        th = fs.solve_source(pert, h).values
+        tg = fs.solve_source(pert, g)
+        th = fs.solve_source(pert, h)
         lhs = pert.inner(tg, h)
         rhs = pert.inner(g, th)
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
         assert pert.inner(g, tg) >= -1e-12
+
+    def test_nonfinite_rejected(self, disk_system):
+        bad = np.full(disk_system.n, np.nan)
+        with pytest.raises(SolverError):
+            fs.solve_source(disk_system, bad)
 
 
 class TestSolveEigen:
@@ -133,37 +138,65 @@ class TestSolveEigen:
 
     def test_orthonormality(self, disk_system):
         pairs = fs.solve_eigen(disk_system, 6)
-        vecs = np.column_stack([p[1].values for p in pairs])
+        vecs = np.column_stack([p[1] for p in pairs])
         gram = vecs.T @ disk_system.mass.dot(vecs)
         assert np.max(np.abs(gram - np.eye(6))) <= 1e-8
 
     def test_constant_first_mode(self, disk_system):
         lam1, u1 = fs.solve_eigen(disk_system, 2)[0]
         assert abs(lam1) < 1e-8
-        spread = np.max(u1.values) - np.min(u1.values)
-        assert spread < 1e-6 * np.max(np.abs(u1.values))
+        spread = np.max(u1) - np.min(u1)
+        assert spread < 1e-6 * np.max(np.abs(u1))
 
     def test_deterministic(self, disk_system):
         a = fs.solve_eigen(disk_system, 3, seed=0)
         b = fs.solve_eigen(disk_system, 3, seed=0)
         for (la, ua), (lb, ub) in zip(a, b):
             assert la == lb
-            assert np.array_equal(ua.values, ub.values)
+            assert np.array_equal(ua, ub)
 
-    def test_dense_path_matches_sparse(self):
+    def test_small_mesh_matches_dense_reference(self):
         cfg = geo.SceneConfig(domain=UNIT_DISK, inclusions=(), d0=0.3, mesh_h=0.12)
-        mesh = geo.build_mesh(cfg)
-        system = fs.assemble(mesh, ())
-        assert system.n <= 900  # exercises the dense branch
+        system = fs.assemble(geo.build_mesh(cfg), ())
+        assert system.n == 281
+        pairs = fs.solve_eigen(system, 6)
+        ref = scipy.linalg.eigh(
+            system.stiffness.toarray(), system.mass.toarray(), eigvals_only=True,
+            subset_by_index=[0, 5],
+        )
+        assert pairs[0][0] == 0.0 and abs(ref[0]) < 1e-10 * ref[1]
+        for (lam, _), ex in zip(pairs[1:], ref[1:]):
+            assert lam == pytest.approx(ex, rel=1e-10)
+
+    def test_one_factorization_per_system(self, inclusion_scene):
+        _, _, _, pert = inclusion_scene
+        # a fresh system, so no earlier test's factorization is in place
+        system = fs.AssembledSystem(stiffness=pert.stiffness, mass=pert.mass,
+                                    mesh=pert.mesh, inclusions=pert.inclusions)
         pairs = fs.solve_eigen(system, 4)
-        lam2 = ds.disk_spectrum_list(1.0, 4)[1].lam
-        assert pairs[1][0] == pytest.approx(lam2, rel=0.05)
+        lu = system._lu
+        assert lu is not None
+        tu = fs.solve_source(system, pairs[1][1])
+        assert system._lu is lu
+        assert np.max(np.abs(tu - pairs[1][1] / pairs[1][0])) < 1e-8 * np.max(np.abs(tu))
+
+    def test_residual_check_rejects_inexact_pairs(self, disk_system, monkeypatch):
+        eigsh = fs.spla.eigsh
+
+        def perturbed(*args, **kwargs):
+            w, v = eigsh(*args, **kwargs)
+            noise = np.random.default_rng(5).standard_normal(v.shape)
+            return w, v + 1e-4 * np.max(np.abs(v)) * noise
+
+        monkeypatch.setattr(fs.spla, "eigsh", perturbed)
+        with pytest.raises(SolverError, match="residual"):
+            fs.solve_eigen(disk_system, 4)
 
     def test_reciprocity_source_vs_eigen(self, disk_system):
         pairs = fs.solve_eigen(disk_system, 3)
         lam, u = pairs[1]
-        tu = fs.solve_source(disk_system, u.values)
-        assert np.max(np.abs(tu.values - u.values / lam)) < 1e-8 * np.max(np.abs(u.values))
+        tu = fs.solve_source(disk_system, u)
+        assert np.max(np.abs(tu - u / lam)) < 1e-8 * np.max(np.abs(u))
 
     def test_h2_convergence(self):
         lam2 = ds.disk_spectrum_list(1.0, 4)[1].lam
@@ -229,10 +262,3 @@ class TestMatching:
             matched = fs.match_groups(groups, fs.solve_eigen(pert, 4), unpert)
             shifts.append(matched[1].harmonic_average - groups[1].lam)
         assert abs(shifts[1] - shifts[0]) <= 0.1 * abs(shifts[1])
-
-
-class TestDiscreteField:
-    def test_nonfinite_rejected(self, disk_system):
-        bad = np.full(disk_system.n, np.nan)
-        with pytest.raises(SolverError):
-            fs.DiscreteField(values=bad, mesh=disk_system.mesh)

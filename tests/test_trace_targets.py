@@ -45,3 +45,19 @@ def test_call_shapes_the_benchmark_relies_on():
     assert corrector[:2] == ["self", "x"]
     scorer = list(inspect.signature(_resolve("harness:apply_convention")).parameters)
     assert scorer == ["result", "convention", "use_m_factor"]
+
+
+def test_solve_eigen_result_shape_the_benchmark_counts():
+    # the eigenpairs metric is len(result) of solve_eigen: one (lambda, vector)
+    # pair per requested eigenvalue, each vector nodal
+    from eigenshift import field_solver as fs
+    from eigenshift import geometry as geo
+
+    cfg = geo.SceneConfig(domain=geo.DomainSpec(kind="disk", radius=1.0), inclusions=(),
+                          d0=0.3, mesh_h=0.12)
+    system = fs.assemble(geo.build_mesh(cfg), ())
+    pairs = fs.solve_eigen(system, 4)
+    assert len(pairs) == 4
+    for lam, vector in pairs:
+        assert isinstance(lam, float)
+        assert vector.shape == (system.n,)

@@ -451,7 +451,6 @@ class Mesh:
     nodes: np.ndarray          # (n, 2)
     triangles: np.ndarray      # (m, 3)
     region: np.ndarray         # (m,) -1 background, l >= 0 inclusion index
-    boundary_edges: np.ndarray  # (k, 2) node indices on the domain boundary
     interface_nodes: tuple      # per inclusion: node index array on its boundary
     config: SceneConfig
 
@@ -692,7 +691,6 @@ def build_mesh(config: SceneConfig) -> Mesh:
         nodes=points,
         triangles=triangles,
         region=region,
-        boundary_edges=_boundary_edges(triangles),
         interface_nodes=tuple(
             _locate_nodes(points, pts) for pts in interface_pts
         ),
@@ -711,13 +709,6 @@ def _locate_nodes(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
     if np.any(d > 1e-9):
         raise MeshError("interface nodes missing from the triangulation")
     return np.asarray(idx, dtype=np.int64)
-
-
-def _boundary_edges(triangles: np.ndarray) -> np.ndarray:
-    edges = np.vstack([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]])
-    edges = np.sort(edges, axis=1)
-    uniq, counts = np.unique(edges, axis=0, return_counts=True)
-    return uniq[counts == 1]
 
 
 def _check_mesh(mesh: Mesh, active: Sequence[InclusionSpec]) -> None:

@@ -303,32 +303,30 @@ def schedule_mesh_h(eps: float, cap: float, coeff: float = MESH_SCHEDULE_COEFF) 
     return float(min(cap, coeff * eps**MESH_SCHEDULE_POWER))
 
 
-def _analytic_layout(scene: SceneConfig, max_rank: int):
-    """Multiplicities and analytic groups for the scene's disk domain."""
+def _analytic_groups(scene: SceneConfig, max_rank: int) -> list:
+    """Analytic disk groups for the scene's domain, up to rank max_rank + 1.
+
+    The list for the largest rank serves every point of a sweep: its
+    prefix holds each smaller rank's multiplicities.
+    """
     if scene.domain.kind != "disk":
         raise ValidationError("sweeps require a disk domain (analytic reference)")
     groups = ds.disk_spectrum_list(scene.domain.radius, min(400, 3 * (max_rank + 1) + 4))
     if len(groups) <= max_rank:
         raise ValidationError(f"analytic spectrum too short for rank {max_rank}")
-    need = 0
-    mults = []
-    for g in groups[: max_rank + 1]:
-        mults.append(g.multiplicity)
-        need += g.multiplicity
-    return groups, mults, need
+    return groups
 
 
 def _sweep_point(
-    scene: SceneConfig, eps: float, rank: int, seed: int,
-    sched_coeff: float = MESH_SCHEDULE_COEFF,
-    diagnostics: bool = True,
+    scene: SceneConfig, eps: float, rank: int, seed: int, sched_coeff: float,
+    diagnostics: bool, analytic_groups: list,
 ) -> SweepPoint:
     """One epsilon: mesh, both systems, matched group, Osborn and energy data."""
     inclusions = tuple(replace(inc, epsilon=eps) for inc in scene.inclusions)
     h0 = schedule_mesh_h(eps, scene.mesh_h, sched_coeff)
     cfg = replace(scene, inclusions=inclusions, mesh_h=h0)
-    analytic_groups, mults, count = _analytic_layout(scene, rank)
-    count = min(count + 2, 300)
+    mults = [g.multiplicity for g in analytic_groups[: rank + 1]]
+    count = min(sum(mults) + 2, 300)
 
     ops = fs.build_operators(cfg)
     pairs_un = fs.solve_eigen(ops.unperturbed, count, seed=seed)
@@ -448,7 +446,11 @@ def run_sweep(
         group_rank if alpha == 0.0 else max(2, int(np.floor(e ** (-alpha))))
         for e in eps_list
     ]
-    jobs = [(scene, e, r, seed, sched_coeff, diagnostics) for e, r in zip(eps_list, ranks)]
+    analytic_groups = _analytic_groups(scene, max(ranks))
+    jobs = [
+        (scene, e, r, seed, sched_coeff, diagnostics, analytic_groups)
+        for e, r in zip(eps_list, ranks)
+    ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
             points = list(ex.map(_sweep_point_star, jobs))
@@ -459,7 +461,9 @@ def run_sweep(
     noise_floor = None
     floor_dominated = False
     if estimate_floor:
-        noise_floor = _noise_floor(scene, eps_list[0], ranks[0], seed, sched_coeff)
+        noise_floor = _noise_floor(
+            scene, eps_list[0], ranks[0], seed, sched_coeff, analytic_groups
+        )
         floor_dominated = bool(noise_floor >= 0.3 * abs(observed[0]))
     observations = SweepResult(
         points=points,
@@ -503,11 +507,12 @@ def apply_convention(result: SweepResult, convention: str, use_m_factor: bool) -
 
 
 def _noise_floor(
-    scene: SceneConfig, eps: float, rank: int, seed: int, sched_coeff: float
+    scene: SceneConfig, eps: float, rank: int, seed: int, sched_coeff: float,
+    analytic_groups: list,
 ) -> float:
     """Two-resolution estimate of the discretization floor of the shift."""
-    base = _sweep_point(scene, eps, rank, seed, sched_coeff, diagnostics=False)
-    coarse = _sweep_point(scene, eps, rank, seed, 1.4 * sched_coeff, diagnostics=False)
+    base = _sweep_point(scene, eps, rank, seed, sched_coeff, False, analytic_groups)
+    coarse = _sweep_point(scene, eps, rank, seed, 1.4 * sched_coeff, False, analytic_groups)
     return abs(base.observed - coarse.observed)
 
 

@@ -219,6 +219,11 @@ def polarization_tensor(
 # ---------------------------------------------------------------------------
 # corrector field
 # ---------------------------------------------------------------------------
+NEAR_RADIUS = 5.0    # exact near field within this many panel radii
+MULTIPOLE_ORDER = 20  # far-field terms; truncation ~ NEAR_RADIUS**-(order+1)
+CHUNK_TARGETS = 2048  # near-field targets per exact kernel block
+
+
 @dataclass
 class Corrector:
     """Evaluator of v(xi) = (c_k/lambda) sum_p du/dx_p(z) phi_p(xi).
@@ -226,6 +231,15 @@ class Corrector:
     The transmission analysis of the difference field gives c_k = k - 1
     for cell functions with unit-normal flux jump; both signs circulate,
     so the opposite one stays available for comparison experiments.
+
+    v is the single layer of the combined density psi = values @ coef.
+    Targets within NEAR_RADIUS * rho (rho = max |vertex|) get the exact
+    flat-panel integral in blocks of CHUNK_TARGETS rows; beyond, the same
+    exact potential is its convergent multipole series (Greengard and
+    Rokhlin 1987), -(1/2pi) Re[q log z - sum_k M_k z^-k / k] with
+    M_k = sum_j psi_j int_panel_j w^k ds, truncated at MULTIPOLE_ORDER.
+    Beyond the per-target arrays, memory is one block whatever the number
+    of targets.
     """
 
     density: BoundaryDensity
@@ -238,17 +252,37 @@ class Corrector:
             raise ValidationError("sign must be 'derived' or 'flipped'")
         c = (self.density.k - 1.0) if self.sign == "derived" else (1.0 - self.density.k)
         self._coef = c / self.lam * np.asarray(self.grad_u, dtype=float)
+        pan = self.density.panels
+        self._psi = self.density.values @ self._coef
+        a = pan.vertices[:, 0] + 1j * pan.vertices[:, 1]
+        b = np.roll(a, -1)
+        self._near_radius = NEAR_RADIUS * float(np.max(np.abs(a)))
+        self._charge = float(pan.lengths @ self._psi)
+        # exact segment integrals: int w^k ds = L/(b-a) (b^(k+1) - a^(k+1))/(k+1)
+        weight = self._psi * pan.lengths / (b - a)
+        k = np.arange(1, MULTIPOLE_ORDER + 1)
+        kp1 = k[:, None] + 1
+        self._moments = ((b ** kp1 - a ** kp1) / kp1 @ weight) / k  # M_k / k
 
     def evaluate(self, xi: np.ndarray) -> np.ndarray:
         xi = np.atleast_2d(xi)
-        vals = single_layer_matrix(self.density.panels, xi) @ self.density.values
-        return vals @ self._coef  # (t,)
+        z = xi[:, 0] + 1j * xi[:, 1]
+        near = np.abs(z) <= self._near_radius
+        out = np.empty(len(xi))
+        idx = np.flatnonzero(near)
+        for start in range(0, len(idx), CHUNK_TARGETS):
+            rows = idx[start:start + CHUNK_TARGETS]
+            out[rows] = single_layer_matrix(self.density.panels, xi[rows]) @ self._psi
+        far = ~near
+        out[far] = self._multipole(z[far])
+        return out  # (t,)
 
-    def gradient(self, xi: np.ndarray) -> np.ndarray:
-        xi = np.atleast_2d(xi)
-        g = single_layer_gradient(self.density.panels, xi)
-        grads = np.einsum("tnd,np->tpd", g, self.density.values)
-        return np.einsum("tpd,p->td", grads, self._coef)
+    def _multipole(self, z: np.ndarray) -> np.ndarray:
+        u = 1.0 / z
+        series = np.zeros_like(z)
+        for m in self._moments[::-1]:  # Horner in 1/z
+            series = (series + m) * u
+        return -(self._charge * np.log(np.abs(z)) - series.real) / (2.0 * np.pi)
 
     def scaled_physical(self, x: np.ndarray, z, eps: float) -> np.ndarray:
         """The physical-space inner correction eps * v((x - z) / eps)."""

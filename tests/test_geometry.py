@@ -143,7 +143,11 @@ class TestBuildMesh:
         mesh = geo.build_mesh(cfg)
         assert abs(mesh.areas.sum() - 3.0) <= 0.02 * 3.0
         assert mesh.min_angle() >= 20.0
-        mids = 0.5 * (mesh.nodes[mesh.boundary_edges[:, 0]] + mesh.nodes[mesh.boundary_edges[:, 1]])
+        # boundary edges are the edges of exactly one triangle
+        edges = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        uniq, counts = np.unique(edges, axis=0, return_counts=True)
+        boundary = uniq[counts == 1]
+        mids = 0.5 * (mesh.nodes[boundary[:, 0]] + mesh.nodes[boundary[:, 1]])
         assert np.max(np.abs(lshape.boundary_distance(mids))) < 1e-12
 
 

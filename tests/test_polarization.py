@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -160,15 +162,19 @@ class TestCorrector:
         assert np.max(np.abs(cor.evaluate(pts) - exact)) < 1e-5
 
     def test_interior_hessian_zero(self, density):
+        # central second differences of v, mixed term included; h = 1e-2
+        # keeps the rounding of v (~1e-16) amplified by 1/h^2 far below 1e-6
         cor = pol.corrector_field(density, np.array([1.0, 0.0]), 1.0)
-        h = 1e-4
-        p0 = np.array([[0.2, 0.1]])
-        hess = np.zeros((2, 2))
-        for j in range(2):
-            dp = np.zeros(2)
-            dp[j] = h
-            hess[:, j] = (cor.gradient(p0 + dp)[0] - cor.gradient(p0 - dp)[0]) / (2 * h)
-        assert np.max(np.abs(hess)) < 1e-6
+        h = 1e-2
+        p0 = np.array([0.2, 0.1])
+
+        def v(dx, dy):
+            return cor.evaluate(p0 + np.array([dx, dy]))[0]
+
+        hxx = (v(h, 0) - 2.0 * v(0, 0) + v(-h, 0)) / h**2
+        hyy = (v(0, h) - 2.0 * v(0, 0) + v(0, -h)) / h**2
+        hxy = (v(h, h) - v(h, -h) - v(-h, h) + v(-h, -h)) / (4.0 * h * h)
+        assert max(abs(hxx), abs(hyy), abs(hxy)) < 1e-6
 
     def test_far_field_decay(self, density):
         cor = pol.corrector_field(density, np.array([0.7, -0.3]), 3.39)
@@ -198,3 +204,50 @@ class TestCorrector:
     def test_bad_gradient_shape(self, density):
         with pytest.raises(ValidationError):
             pol.corrector_field(density, np.zeros(3), 1.0)
+
+
+class TestNearFarEvaluator:
+    """evaluate is exact within NEAR_RADIUS * rho and a multipole series
+    beyond; both must agree with the dense exact panel integral."""
+
+    @pytest.mark.parametrize(
+        "shape", [DiskShape(1.0), EllipseShape(1.0, 0.5, 0.7)], ids=["disk", "ellipse"]
+    )
+    def test_matches_dense_panel_integral(self, shape):
+        dens = pol.solve_cell_problem(shape, K_DEFAULT, 256)
+        grad_u, lam = np.array([0.7, -0.3]), 3.39
+        cor = pol.corrector_field(dens, grad_u, lam)
+        rho = np.max(np.hypot(dens.panels.vertices[:, 0], dens.panels.vertices[:, 1]))
+        edge = pol.NEAR_RADIUS * rho
+        radii = np.concatenate([
+            np.geomspace(0.05, 4.0 * edge, 200),
+            np.full(40, edge),  # exactly on the near/far boundary
+            edge * (1.0 + np.array([-1e-9, 1e-12, 1e-9, 1e-6, 1e-3])),
+        ])
+        theta = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, len(radii))
+        xi = np.column_stack([radii * np.cos(theta), radii * np.sin(theta)])
+        assert np.any(np.hypot(xi[:, 0], xi[:, 1]) > edge)
+        assert np.any(np.hypot(xi[:, 0], xi[:, 1]) <= edge)
+        coef = (K_DEFAULT - 1.0) / lam * grad_u
+        dense = pol.single_layer_matrix(dens.panels, xi) @ (dens.values @ coef)
+        err = np.abs(cor.evaluate(xi) - dense)
+        assert np.max(err) <= 1e-11 * np.max(np.abs(dense))
+
+    def test_memory_does_not_grow_with_near_targets(self, density):
+        cor = pol.corrector_field(density, np.array([0.7, -0.3]), 3.39)
+        rng = np.random.default_rng(5)
+        z, eps = np.array([0.4, 0.0]), 0.02
+
+        def peak(n):
+            # every target lies within the near radius of the inclusion
+            r = pol.NEAR_RADIUS * np.sqrt(rng.uniform(0.0, 1.0, n))
+            t = rng.uniform(0.0, 2.0 * np.pi, n)
+            x = z + eps * np.column_stack([r * np.cos(t), r * np.sin(t)])
+            tracemalloc.start()
+            try:
+                cor.scaled_physical(x, z, eps)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(200_000) <= 2.0 * peak(20_000)

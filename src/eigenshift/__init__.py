@@ -6,7 +6,6 @@ from .geometry import (
     DomainSpec,
     EllipseShape,
     InclusionSpec,
-    PolygonShape,
     SceneConfig,
     build_mesh,
     load_scene,
@@ -25,7 +24,6 @@ __all__ = [
     "DomainSpec",
     "EllipseShape",
     "InclusionSpec",
-    "PolygonShape",
     "SceneConfig",
     "build_mesh",
     "load_scene",

@@ -36,13 +36,6 @@ class DiskMode:
         return self.parity == "const"
 
 
-def _make_mode(s: int, i: int, R: float, parity: str) -> DiskMode:
-    if parity == "const":
-        return DiskMode(s=0, i=0, R=R, parity="const", beta=0.0, lam=0.0)
-    beta = specfun.bessel_deriv_zero(s, i).beta
-    return DiskMode(s=s, i=i, R=R, parity=parity, beta=beta, lam=(beta / R) ** 2)
-
-
 class DiskEigenfunction:
     """Evaluator for value, gradient and Hessian of one disk mode.
 
@@ -206,40 +199,39 @@ def disk_spectrum_list(R: float, count: int) -> list:
 
     beta_cut = np.sqrt(4.5 * count + 60.0)
     while True:
-        entries = []  # (lam, s, i)
+        entries = []  # (lam, s, i, beta), each zero looked up once
         s = 0
         while True:
-            first = specfun.bessel_deriv_zero(s, 1).beta
-            if first > beta_cut:
-                break
             i = 1
             while True:
                 beta = specfun.bessel_deriv_zero(s, i).beta
                 if beta > beta_cut:
                     break
-                entries.append(((beta / R) ** 2, s, i))
+                entries.append(((beta / R) ** 2, s, i, beta))
                 i += 1
+            if i == 1:
+                break  # no zero of this order below the cut, nor of any higher one
             s += 1
-        total = 1 + sum(1 if s == 0 else 2 for (_, s, _) in entries)
+        total = 1 + sum(1 if s == 0 else 2 for (_, s, _, _) in entries)
         if total >= count:
             break
         beta_cut *= 1.3
 
     entries.sort()
-    groups = []
-    covered = 1
-    rank = 1
-    groups.append(
+    const = DiskMode(s=0, i=0, R=R, parity="const", beta=0.0, lam=0.0)
+    groups = [
         EigenGroup(
             lam=0.0,
             multiplicity=1,
-            functions=(DiskEigenfunction(_make_mode(0, 0, R, "const")),),
-            rank=rank,
-            modes=(_make_mode(0, 0, R, "const"),),
+            functions=(DiskEigenfunction(const),),
+            rank=1,
+            modes=(const,),
         )
-    )
-    pending = []  # accumulating one merged group of (lam, s, i)
-    for lam, s, i in entries:
+    ]
+    covered = 1
+    rank = 1
+    pending = []  # accumulating one merged group of (lam, s, i, beta)
+    for lam, s, i, beta in entries:
         if covered >= count and not pending:
             break
         if pending and abs(lam - pending[-1][0]) > _GROUP_MERGE_RTOL * max(lam, pending[-1][0]):
@@ -249,7 +241,7 @@ def disk_spectrum_list(R: float, count: int) -> list:
             pending = []
             if covered >= count:
                 break
-        pending.append((lam, s, i))
+        pending.append((lam, s, i, beta))
     if pending and covered < count:
         rank += 1
         groups.append(_finalize_group(pending, R, rank))
@@ -257,18 +249,17 @@ def disk_spectrum_list(R: float, count: int) -> list:
 
 
 def _finalize_group(pending: list, R: float, rank: int) -> EigenGroup:
-    modes = []
-    for lam, s, i in pending:
-        if s == 0:
-            modes.append(_make_mode(s, i, R, "cos"))  # single radial mode
-        else:
-            modes.append(_make_mode(s, i, R, "cos"))
-            modes.append(_make_mode(s, i, R, "sin"))
-    lam = pending[0][0]
+    """One group from its (lam, s, i, beta) entries: a cos and a sin mode for
+    s >= 1, a single radial mode for s = 0."""
+    modes = tuple(
+        DiskMode(s=s, i=i, R=R, parity=parity, beta=beta, lam=lam)
+        for lam, s, i, beta in pending
+        for parity in (("cos",) if s == 0 else ("cos", "sin"))
+    )
     return EigenGroup(
-        lam=lam,
+        lam=pending[0][0],
         multiplicity=len(modes),
         functions=tuple(DiskEigenfunction(m) for m in modes),
         rank=rank,
-        modes=tuple(modes),
+        modes=modes,
     )

@@ -134,62 +134,7 @@ class EllipseShape:
         return (u / self.a) ** 2 + (v / self.b) ** 2 <= 1.0
 
 
-@dataclass(frozen=True)
-class PolygonShape:
-    """Unit-scale simple polygon, counterclockwise."""
-
-    vertices: tuple
-
-    def __post_init__(self):
-        verts = np.asarray(self.vertices, dtype=float)
-        if verts.ndim != 2 or verts.shape[0] < 3 or verts.shape[1] != 2:
-            raise ValidationError("polygon needs >= 3 planar vertices")
-        if _polygon_area(verts) <= 0:
-            raise ValidationError("polygon must be counterclockwise and non-degenerate")
-
-    @property
-    def _verts(self) -> np.ndarray:
-        return np.asarray(self.vertices, dtype=float)
-
-    @property
-    def area(self) -> float:
-        return _polygon_area(self._verts)
-
-    @property
-    def perimeter(self) -> float:
-        v = self._verts
-        return float(np.sum(np.hypot(*(np.roll(v, -1, axis=0) - v).T)))
-
-    @property
-    def max_radius(self) -> float:
-        return float(np.max(np.hypot(self._verts[:, 0], self._verts[:, 1])))
-
-    @property
-    def min_radius(self) -> float:
-        # distance from origin to the boundary; origin must be interior
-        v = self._verts
-        w = np.roll(v, -1, axis=0)
-        e = w - v
-        t = np.clip(-np.sum(v * e, axis=1) / np.sum(e * e, axis=1), 0.0, 1.0)
-        closest = v + t[:, None] * e
-        return float(np.min(np.hypot(closest[:, 0], closest[:, 1])))
-
-    def boundary_points(self, n: int, stagger: float = 0.0) -> np.ndarray:
-        v = self._verts
-        w = np.roll(v, -1, axis=0)
-        seg = np.hypot(*(w - v).T)
-        arc = np.concatenate([[0.0], np.cumsum(seg)])
-        targets = arc[-1] * ((np.arange(n) + stagger) % n) / n
-        idx = np.searchsorted(arc, targets, side="right") - 1
-        idx = np.clip(idx, 0, len(seg) - 1)
-        frac = (targets - arc[idx]) / seg[idx]
-        return v[idx] + frac[:, None] * (w[idx] - v[idx])
-
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        return _points_in_polygon(pts, self._verts)
-
-
-InclusionShape = Union[DiskShape, EllipseShape, PolygonShape]
+InclusionShape = Union[DiskShape, EllipseShape]
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +160,11 @@ class DomainSpec:
         elif self.kind == "polygon":
             if self.vertices is None:
                 raise ValidationError("polygon domain needs vertices")
-            PolygonShape(tuple(map(tuple, self.vertices)))  # reuse its checks
+            verts = np.asarray(self.vertices, dtype=float)
+            if verts.ndim != 2 or verts.shape[0] < 3 or verts.shape[1] != 2:
+                raise ValidationError("polygon needs >= 3 planar vertices")
+            if _polygon_area(verts) <= 0:
+                raise ValidationError("polygon must be counterclockwise and non-degenerate")
         else:
             raise ValidationError(f"unknown domain kind {self.kind!r}")
 
@@ -365,9 +314,7 @@ def validate_scene(config: SceneConfig) -> SceneConfig:
 def _shape_to_json(shape: InclusionShape) -> dict:
     if isinstance(shape, DiskShape):
         return {"kind": "disk", "radius": shape.rho}
-    if isinstance(shape, EllipseShape):
-        return {"kind": "ellipse", "a": shape.a, "b": shape.b, "theta": shape.theta}
-    return {"kind": "polygon", "vertices": [list(v) for v in shape.vertices]}
+    return {"kind": "ellipse", "a": shape.a, "b": shape.b, "theta": shape.theta}
 
 
 def shape_from_json(obj: dict) -> InclusionShape:
@@ -376,8 +323,6 @@ def shape_from_json(obj: dict) -> InclusionShape:
         return DiskShape(rho=float(obj.get("radius", 1.0)))
     if kind == "ellipse":
         return EllipseShape(a=float(obj["a"]), b=float(obj["b"]), theta=float(obj.get("theta", 0.0)))
-    if kind == "polygon":
-        return PolygonShape(tuple(map(tuple, obj["vertices"])))
     raise ValidationError(f"unknown inclusion shape kind {kind!r}")
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import InclusionShape, _polygon_area
+from .geometry import InclusionShape
 
 _MIN_PANELS = 32
 CONVENTIONS = ("paper", "literature")
@@ -42,10 +42,6 @@ class Panels:
     @property
     def perimeter(self) -> float:
         return float(np.sum(self.lengths))
-
-    @property
-    def area(self) -> float:
-        return _polygon_area(self.vertices)
 
 
 def panelize(shape: InclusionShape, n: int) -> Panels:

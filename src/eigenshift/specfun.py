@@ -32,7 +32,7 @@ _X_MAX = 1.0e4
 _S_MAX = 200
 _ZERO_RESIDUAL_TOL = 1.0e-12
 
-# scan state per order: (refined zeros so far, last scanned abscissa, last sign)
+# refined zeros of J_s' per order s, ascending
 _zero_cache: dict[int, list[float]] = {}
 
 
@@ -105,21 +105,19 @@ def _hankel(s: int, x: np.ndarray, max_terms: int = 30) -> np.ndarray:
     return np.sqrt(2.0 / (np.pi * x)) * (p * np.cos(chi) - q * np.sin(chi))
 
 
-def _miller(s: int, x: np.ndarray, orders: tuple[int, ...] = ()) -> np.ndarray:
+def _miller(orders: tuple[int, ...], x: np.ndarray) -> np.ndarray:
     """Backward recurrence with even-order normalization (Miller's algorithm).
 
-    Returns J_s(x) by default; with ``orders`` given, returns a stacked
-    array of those orders from the same pass.
+    Returns the stacked rows J_n(x), n in ``orders``, from one pass.
     """
-    wanted = orders if orders else (s,)
-    top = float(max(np.max(x), max(wanted)))
+    top = float(max(np.max(x), max(orders)))
     m_start = int(top + np.sqrt(160.0 * top)) + 12
     if m_start % 2 == 1:
         m_start += 1
     bjp = np.zeros_like(x)          # J_{m+1} trial
     bj = np.full_like(x, 1e-30)     # J_m trial
     norm = np.zeros_like(x)
-    out = {n: np.zeros_like(x) for n in wanted}
+    out = {n: np.zeros_like(x) for n in orders}
     for m in range(m_start, 0, -1):
         bjm = (2.0 * m / x) * bj - bjp
         bjp, bj = bj, bjm
@@ -136,50 +134,16 @@ def _miller(s: int, x: np.ndarray, orders: tuple[int, ...] = ()) -> np.ndarray:
         if m - 1 in out:
             out[m - 1] = bj.copy()
     norm = norm + bj  # J_0 contribution
-    if orders:
-        return np.stack([out[n] / norm for n in orders])
-    return out[s] / norm
+    return np.stack([out[n] / norm for n in orders])
 
 
-def bessel_j(s: int, x):
-    """Bessel function J_s(x) for integer s >= 0.
-
-    Absolute error <= 1e-12 for x <= 500; supported up to x = 1e4.
-    Accepts scalars or numpy arrays.
-    """
-    s = _check_order(s)
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("argument must be finite")
-    if np.any(arr < 0.0):
-        raise DomainError("argument must be non-negative")
-    if np.any(arr > _X_MAX):
-        raise DomainError(f"argument above supported range {_X_MAX:g}")
-
-    out = np.empty_like(arr)
-    asym_min = max(_ASYMPTOTIC_X_MIN, float(s) * float(s))
-    small = arr <= _SERIES_X_MAX
-    large = arr >= asym_min
-    mid = ~(small | large)
-    if np.any(small):
-        out[small] = _series(s, arr[small])
-    if np.any(large):
-        out[large] = _hankel(s, arr[large])
-    if np.any(mid):
-        out[mid] = _miller(s, arr[mid])
-    return float(out[0]) if scalar else out
-
-
-def _j_pair(s: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(J_s, J_s') on a positive grid, sharing one Miller pass per regime."""
-    lo = max(s - 1, 0)
-    orders = (lo, s, s + 1)
-    vals = np.empty((3, x.size))
-    asym_min = max(_ASYMPTOTIC_X_MIN, float(s + 1) * float(s + 1))
+def _j_orders(orders: tuple[int, ...], x: np.ndarray) -> np.ndarray:
+    """Rows J_n(x), n in ``orders``, on a flat grid; the highest order picks
+    the regimes, and the middle band shares one Miller pass."""
+    vals = np.empty((len(orders), x.size))
+    top = float(max(orders))
     small = x <= _SERIES_X_MAX
-    large = x >= asym_min
+    large = x >= max(_ASYMPTOTIC_X_MIN, top * top)
     mid = ~(small | large)
     for j, n in enumerate(orders):
         if np.any(small):
@@ -187,23 +151,44 @@ def _j_pair(s: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if np.any(large):
             vals[j, large] = _hankel(n, x[large])
     if np.any(mid):
-        vals[:, mid] = _miller(s, x[mid], orders=orders)
-    js = vals[1]
-    jp = -vals[2] if s == 0 else 0.5 * (vals[0] - vals[2])
-    return js, jp
+        vals[:, mid] = _miller(orders, x[mid])
+    return vals
+
+
+def bessel_j(s: int, x):
+    """Bessel function J_s(x) for integer s >= 0.
+
+    Absolute error <= 1e-12 for x <= 500; supported up to x = 1e4.
+    Accepts scalars or numpy arrays of any shape.
+    """
+    s = _check_order(s)
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("argument must be finite")
+    if np.any(arr < 0.0):
+        raise DomainError("argument must be non-negative")
+    if np.any(arr > _X_MAX):
+        raise DomainError(f"argument above supported range {_X_MAX:g}")
+    out = _j_orders((s,), arr.ravel())[0]
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+def _j_pair(s: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(J_s, J_s') on a positive grid, from one evaluation of J_{s-1}, J_s, J_{s+1}."""
+    lo, js, hi = _j_orders((max(s - 1, 0), s, s + 1), x)
+    return js, (-hi if s == 0 else 0.5 * (lo - hi))
 
 
 def bessel_j_prime(s: int, x):
     """Derivative J_s'(x) via J_s' = (J_{s-1} - J_{s+1})/2, J_0' = -J_1."""
     s = _check_order(s)
+    if s + 1 > _S_MAX:
+        raise ValidationError(
+            f"derivative order {s} needs J_{s + 1}, above supported maximum order {_S_MAX}"
+        )
     if s == 0:
         return -1.0 * bessel_j(1, x) if np.ndim(x) == 0 else -bessel_j(1, x)
     return 0.5 * (bessel_j(s - 1, x) - bessel_j(s + 1, x))
-
-
-def _bessel_j_second(s: int, x: float) -> float:
-    """J_s''(x) from the defining ODE; needs x > 0."""
-    return (s * s / (x * x) - 1.0) * bessel_j(s, x) - bessel_j_prime(s, x) / x
 
 
 def mcmahon_estimate(s: int, i: int) -> float:
@@ -249,7 +234,9 @@ def _refine_zeros(s: int, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray) -> n
 
 def _extend_zeros(s: int, need: int) -> list[float]:
     zeros = _zero_cache.setdefault(s, [])
-    padded = min(need + 7, 200)  # over-extend so incremental callers amortize
+    if len(zeros) >= need:
+        return zeros
+    padded = min(need + 7, 200)  # one Newton batch through 7 zeros past the one asked for
     step = np.pi / 3.0
     x_start = zeros[-1] + 0.25 * step if zeros else max(1e-3, 0.8 * s)
     horizon = mcmahon_estimate(s, padded) + max(4.0 * np.pi, 0.9 * s)
@@ -258,7 +245,7 @@ def _extend_zeros(s: int, need: int) -> list[float]:
     nz = f != 0.0  # drop underflow plateau left of the first extremum
     grid, f = grid[nz], f[nz]
     flips = np.nonzero(np.sign(f[1:]) != np.sign(f[:-1]))[0]
-    flips = flips[: max(0, padded - len(zeros))]
+    flips = flips[: padded - len(zeros)]
     if flips.size:
         zeros.extend(_refine_zeros(s, grid[flips], grid[flips + 1], f[flips]).tolist())
     if len(zeros) < need:

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.special as sp
 
 from eigenshift import disk_spectrum as ds
 from eigenshift import specfun
@@ -54,6 +55,32 @@ class TestSpectrumList:
         assert len(few) == 1
         many = ds.disk_spectrum_list(1.0, 50)
         assert sum(g.multiplicity for g in many) >= 50
+
+    def test_each_zero_looked_up_once(self, monkeypatch):
+        calls = []
+        lookup = specfun.bessel_deriv_zero
+
+        def counted(s, i):
+            calls.append((s, i))
+            return lookup(s, i)
+
+        monkeypatch.setattr(specfun, "bessel_deriv_zero", counted)
+        ds.disk_spectrum_list(1.0, 400)
+        assert calls and len(calls) == len(set(calls))
+
+    def test_matches_scipy_enumeration(self):
+        groups = ds.disk_spectrum_list(1.0, 400)
+        top = np.sqrt(groups[-1].lam) * (1.0 + 1e-9)
+        zeros = {s: sp.jnp_zeros(s, 20) for s in range(61)}  # s = 0 excludes x = 0
+        reference = sorted(
+            (beta, 1 if s == 0 else 2) for s, z in zeros.items() for beta in z if beta <= top
+        )
+        assert [g.multiplicity for g in groups[1:]] == [m for _, m in reference]
+        for g, (beta, _) in zip(groups[1:], reference):
+            for mode in g.modes:
+                assert abs(mode.beta - zeros[mode.s][mode.i - 1]) <= 1e-10
+                assert abs(mode.beta - beta) <= 1e-10
+        assert sum(g.multiplicity for g in groups) >= 400
 
     def test_radius_scaling(self):
         g1 = ds.disk_spectrum_list(1.0, 5)

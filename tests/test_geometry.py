@@ -46,6 +46,14 @@ class TestValidateScene:
         rect = geo.DomainSpec(kind="rectangle", width=np.pi, height=np.pi)
         assert rect.measure == pytest.approx(np.pi**2, abs=1e-12)
 
+    def test_polygon_domain_vertex_checks(self):
+        square = ((0, 0), (1, 0), (1, 1), (0, 1))
+        assert geo.DomainSpec(kind="polygon", vertices=square).measure == pytest.approx(1.0)
+        with pytest.raises(ValidationError, match="counterclockwise"):
+            geo.DomainSpec(kind="polygon", vertices=square[::-1])
+        with pytest.raises(ValidationError, match=">= 3 planar vertices"):
+            geo.DomainSpec(kind="polygon", vertices=((0, 0), (1, 0)))
+
 
 class TestBuildMesh:
     def test_disk_area(self):
@@ -172,3 +180,15 @@ class TestSerialization:
         assert back.d0 == cfg.d0
         assert back.mesh_h == cfg.mesh_h
         assert back.inclusions[1].shape == cfg.inclusions[1].shape
+
+    def test_polygon_inclusion_shape_rejected(self, tmp_path):
+        # inclusion shapes are disks and ellipses; polygons are domains only
+        cfg = geo.SceneConfig(domain=UNIT_DISK, inclusions=(disk_inclusion(),), d0=0.3, mesh_h=0.1)
+        scene = geo.scene_to_json(cfg)
+        scene["inclusions"][0]["shape"] = {
+            "kind": "polygon", "vertices": [[1, 0], [0, 1], [-1, 0], [0, -1]]
+        }
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(scene))
+        with pytest.raises(ValidationError, match="unknown inclusion shape kind 'polygon'"):
+            geo.load_scene(str(path))

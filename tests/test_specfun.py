@@ -80,6 +80,16 @@ class TestBesselJ:
         with pytest.raises(ValidationError):
             specfun.bessel_j(-1, 1.0)
 
+    def test_two_dimensional_input_keeps_shape(self):
+        # the grid spans all three regimes: series, Miller and Hankel
+        xs = np.linspace(0.0, 60.0, 24).reshape(4, 6)
+        for s in (0, 3):
+            j = specfun.bessel_j(s, xs)
+            jp = specfun.bessel_j_prime(s, xs)
+            assert j.shape == xs.shape and jp.shape == xs.shape
+            assert np.max(np.abs(j - sp.jv(s, xs))) < 1e-12
+            assert np.max(np.abs(jp - sp.jvp(s, xs))) < 1e-11
+
 
 class TestBesselJPrime:
     def test_at_zero(self):
@@ -95,6 +105,13 @@ class TestBesselJPrime:
             xs = rng.uniform(0.0, 80.0, 60)
             err = np.max(np.abs(specfun.bessel_j_prime(s, xs) - sp.jvp(s, xs)))
             assert err < 1e-11
+
+    def test_order_range(self):
+        # J_s' needs J_{s+1}, so the top supported order has no derivative
+        x = np.array([50.0, 250.0])
+        assert np.max(np.abs(specfun.bessel_j_prime(199, x) - sp.jvp(199, x))) < 1e-12
+        with pytest.raises(ValidationError, match="derivative order 200"):
+            specfun.bessel_j_prime(200, 1.0)
 
 
 class TestMcMahon:
@@ -159,6 +176,19 @@ class TestDerivZeros:
             beta = specfun.bessel_deriv_zero(0, i).beta
             est = specfun.mcmahon_estimate(0, i + 1)
             assert abs(beta - est) <= 10.0 / est
+
+    def test_cache_hit_skips_scan_and_refinement(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_zero_cache", {})
+        ninth = specfun.bessel_deriv_zero(3, 9)
+        calls = []
+        for name in ("_j_pair", "_refine_zeros"):
+            fn = getattr(specfun, name)
+            monkeypatch.setattr(
+                specfun, name, lambda *args, _fn=fn, _name=name: calls.append(_name) or _fn(*args)
+            )
+        fourth = specfun.bessel_deriv_zero(3, 4)
+        assert calls == []
+        assert 0.0 < fourth.beta < ninth.beta
 
     def test_index_bounds(self):
         with pytest.raises(ValidationError):

@@ -10,6 +10,7 @@ and is represented explicitly as 1/sqrt(pi R^2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -36,6 +37,18 @@ class DiskMode:
         return self.parity == "const"
 
 
+def _amplitude(mode: DiskMode) -> float:
+    """Factor that makes the mode mass-normalized on the disk."""
+    R, s, beta = mode.R, mode.s, mode.beta
+    if mode.is_constant:
+        return 1.0 / np.sqrt(np.pi * R * R)
+    norm = R * np.sqrt(np.pi * (1.0 - s * s / (beta * beta))) * abs(specfun.bessel_j(s, beta))
+    amp = 1.0 / norm
+    if s >= 1:
+        amp *= np.sqrt(2.0)
+    return amp
+
+
 class DiskEigenfunction:
     """Evaluator for value, gradient and Hessian of one disk mode.
 
@@ -43,18 +56,11 @@ class DiskEigenfunction:
     returned in Cartesian components.
     """
 
-    def __init__(self, mode: DiskMode):
+    def __init__(self, mode: DiskMode, amp: Optional[float] = None):
+        """``amp`` is the mode's normalization, ``_amplitude(mode)`` when not
+        given; the cos and sin modes of one zero share it."""
         self.mode = mode
-        R, s, beta = mode.R, mode.s, mode.beta
-        if mode.is_constant:
-            self._amp = 1.0 / np.sqrt(np.pi * R * R)
-        else:
-            norm = R * np.sqrt(np.pi * (1.0 - s * s / (beta * beta))) * abs(
-                specfun.bessel_j(s, beta)
-            )
-            self._amp = 1.0 / norm
-            if s >= 1:
-                self._amp *= np.sqrt(2.0)
+        self._amp = _amplitude(mode) if amp is None else amp
 
     # -- radial factor and derivatives -------------------------------------
     def _radial(self, r: np.ndarray):
@@ -251,15 +257,17 @@ def disk_spectrum_list(R: float, count: int) -> list:
 def _finalize_group(pending: list, R: float, rank: int) -> EigenGroup:
     """One group from its (lam, s, i, beta) entries: a cos and a sin mode for
     s >= 1, a single radial mode for s = 0."""
-    modes = tuple(
-        DiskMode(s=s, i=i, R=R, parity=parity, beta=beta, lam=lam)
-        for lam, s, i, beta in pending
-        for parity in (("cos",) if s == 0 else ("cos", "sin"))
-    )
+    modes, functions = [], []
+    for lam, s, i, beta in pending:
+        pair = [DiskMode(s=s, i=i, R=R, parity=parity, beta=beta, lam=lam)
+                for parity in (("cos",) if s == 0 else ("cos", "sin"))]
+        amp = _amplitude(pair[0])
+        modes += pair
+        functions += [DiskEigenfunction(m, amp) for m in pair]
     return EigenGroup(
         lam=pending[0][0],
         multiplicity=len(modes),
-        functions=tuple(DiskEigenfunction(m) for m in modes),
+        functions=tuple(functions),
         rank=rank,
-        modes=modes,
+        modes=tuple(modes),
     )

@@ -12,11 +12,13 @@ The pure-Neumann kernel (constants) is handled by grounding one node in
 the source solve - the reduced matrix is symmetric positive definite and
 the grounded solution satisfies the full singular system exactly because
 the projected right-hand side is range-compatible - followed by a
-mass-mean shift.  The eigensolve iterates the same T, whose largest
-eigenvalues are 1/lambda, so one factorization of each system serves its
-source solves and its eigenpairs; the constant mode (lambda = 0) is added
-exactly.  Perturbed and unperturbed systems share one
-inclusion-conforming mesh so eigenvalue differences cancel the leading
+mass-mean shift.  The reduced matrix is factorized in the mesh's
+nested-dissection order without pivoting, as its being SPD allows.  The
+eigensolve iterates the same T, whose largest eigenvalues are 1/lambda,
+so one factorization of each system serves its source solves and its
+eigenpairs; the constant mode (lambda = 0) is added exactly.  Perturbed
+and unperturbed systems share one inclusion-conforming mesh, and with it
+one ordering, so eigenvalue differences cancel the leading
 discretization error.
 """
 
@@ -40,6 +42,7 @@ class AssembledSystem:
     mesh: Mesh
     inclusions: tuple
     _lu: Optional[object] = field(default=None, repr=False)
+    _perm: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -61,9 +64,15 @@ class AssembledSystem:
         return float(np.sqrt(max(u @ self.stiffness.dot(u), 0.0) + max(u @ self.mass.dot(u), 0.0)))
 
     def _source_lu(self):
+        """LU of the grounded stiffness K[1:, 1:], permuted symmetrically
+        to K[perm][:, perm] with perm the mesh's dissection order less the
+        grounded node 0."""
         if self._lu is None:
-            reduced = self.stiffness[1:, 1:].tocsc()
-            self._lu = spla.splu(reduced)
+            order = self.mesh.dissection_order
+            self._perm = order[order != 0]
+            reduced = self.stiffness[self._perm][:, self._perm].tocsc()
+            self._lu = spla.splu(reduced, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                                 options={"SymmetricMode": True})
         return self._lu
 
 
@@ -173,8 +182,9 @@ def solve_source(system: AssembledSystem, g) -> np.ndarray:
 def _grounded_solve(system: AssembledSystem, b: np.ndarray) -> np.ndarray:
     """Mass-mean-zero u with K u = b for a zero-sum load b, on the
     factorization of the grounded stiffness K[1:, 1:]."""
+    lu = system._source_lu()
     u = np.zeros(system.n)
-    u[1:] = system._source_lu().solve(b[1:])
+    u[system._perm] = lu.solve(b[system._perm])
     residual = np.linalg.norm(system.stiffness.dot(u) - b)
     b_norm = np.linalg.norm(b) or 1.0
     if not residual <= 1e-8 * b_norm:

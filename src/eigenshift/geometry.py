@@ -1,4 +1,5 @@
-"""Domain and inclusion descriptors, scene validation, and mesh generation.
+"""Domain and inclusion descriptors, scene validation, mesh generation, and
+the mesh's fill-reducing elimination order.
 
 The mesher builds a deterministic point cloud and takes its Delaunay
 triangulation.  Each inclusion boundary is polygonalized with
@@ -16,15 +17,22 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.spatial import Delaunay
 
 from .errors import MeshError, ValidationError
 
 _MIN_SEGMENTS = 64
 _RING_GROWTH = 1.4
+# Parts of at most this many nodes are not dissected further.  On the
+# 101k-node eps = 0.02 benchmark mesh the LU fill is 9.87M at 64, 9.07M at
+# 16, 8.93M at 8 and 8.90M at 4, while the ordering (about 0.3 s) and the
+# factorization times stay level.
+_DISSECTION_LEAF = 8
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +419,12 @@ class Mesh:
     def centroids(self) -> np.ndarray:
         return self.nodes[self.triangles].mean(axis=1)
 
+    @cached_property
+    def dissection_order(self) -> np.ndarray:
+        """Nested-dissection elimination order of the mesh's edge graph, the
+        sparsity pattern of every stiffness assembled on this mesh."""
+        return _nested_dissection(self.nodes, self.triangles)
+
     def min_angle(self) -> float:
         e, _ = p1_geometry(self.nodes, self.triangles)
         angles = []
@@ -432,6 +446,65 @@ def p1_geometry(nodes: np.ndarray, triangles: np.ndarray):
     e = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1)
     area = np.abs(0.5 * (e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0]))
     return e, area
+
+
+def _rank_in_group(labels: np.ndarray) -> np.ndarray:
+    """Position of each entry among the equal entries of a sorted array."""
+    return np.arange(labels.size) - np.searchsorted(labels, labels)
+
+
+def _nested_dissection(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """Fill-reducing elimination order: a permutation of all node indices.
+
+    Geometric nested dissection (George 1973), one level per pass: each
+    part with more than _DISSECTION_LEAF nodes is split at the median of
+    its longer coordinate extent; the nodes of the lower half with an edge
+    to the upper half form the separator, which takes the last positions
+    of the part's range in the order, and the two halves take the ranges
+    before it, lower half first.  Smaller parts are placed whole.
+    """
+    n = len(nodes)
+    a = triangles.ravel()
+    b = np.roll(triangles, -1, axis=1).ravel()
+    graph = sp.coo_matrix((np.ones(a.size), (np.minimum(a, b), np.maximum(a, b))), shape=(n, n))
+    edges = graph.tocsr().tocoo()          # each edge once
+    u, v = edges.row, edges.col
+    order = np.empty(n, dtype=np.intp)
+    label = np.zeros(n, dtype=np.intp)     # part of each unplaced node, -1 once placed
+    idx = np.arange(n)                     # unplaced nodes, grouped by part
+    first = np.zeros(1, dtype=np.intp)     # each part's first position in the order
+    while idx.size:
+        inside = (label[u] == label[v]) & (label[u] >= 0)
+        u, v = u[inside], v[inside]
+        lab = label[idx]
+        starts = np.flatnonzero(np.r_[True, lab[1:] != lab[:-1]])
+        sizes = np.diff(np.r_[starts, idx.size])
+        pts = nodes[idx]
+        span = np.maximum.reduceat(pts, starts) - np.minimum.reduceat(pts, starts)
+        axis = (span[:, 1] > span[:, 0]).astype(np.intp)
+        idx = idx[np.lexsort((pts[np.arange(idx.size), axis[lab]], lab))]
+        upper = np.zeros(n, dtype=bool)
+        upper[idx] = _rank_in_group(lab) >= np.repeat(sizes // 2, sizes)
+        cross = upper[u] != upper[v]
+        in_sep = np.zeros(n, dtype=bool)
+        in_sep[np.where(upper[u[cross]], v[cross], u[cross])] = True
+        sep = in_sep[idx]
+        child = 2 * lab + upper[idx]       # part 2p is the lower half of p, 2p + 1 the upper
+        halves = np.bincount(child[~sep], minlength=2 * len(first)).reshape(-1, 2)
+        sep_lab = lab[sep]
+        order[first[sep_lab] + halves[sep_lab].sum(axis=1) + _rank_in_group(sep_lab)] = idx[sep]
+        label[idx[sep]] = -1
+        child_first = np.column_stack([first, first + halves[:, 0]]).ravel()
+        sizes = halves.ravel()
+        idx, child = idx[~sep], child[~sep]
+        leaf = sizes[child] <= _DISSECTION_LEAF
+        order[child_first[child[leaf]] + _rank_in_group(child[leaf])] = idx[leaf]
+        label[idx[leaf]] = -1
+        idx, child = idx[~leaf], child[~leaf]
+        split = np.flatnonzero(sizes > _DISSECTION_LEAF)
+        first = child_first[split]
+        label[idx] = np.searchsorted(split, child)
+    return order
 
 
 def _hex_grid(bbox: tuple, h: float) -> np.ndarray:

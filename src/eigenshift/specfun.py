@@ -118,17 +118,26 @@ def _miller(orders: tuple[int, ...], x: np.ndarray) -> np.ndarray:
     bj = np.full_like(x, 1e-30)     # J_m trial
     norm = np.zeros_like(x)
     out = {n: np.zeros_like(x) for n in orders}
+    # Upper bounds on max|bj| and max|bjp| from |J_{m-1}| <= (2m/x)|J_m| +
+    # |J_{m+1}|: the rescale test runs only on steps where the bound allows
+    # an entry above 1e250, and the tenfold margin exceeds any rounding of
+    # either recurrence, so it rescales at exactly the same steps.
+    bound, bound_p = 1e-30, 0.0
+    growth = 2.0 / float(np.min(x))
     for m in range(m_start, 0, -1):
         bjm = (2.0 * m / x) * bj - bjp
         bjp, bj = bj, bjm
-        big = np.abs(bj) > 1e250
-        if np.any(big):
-            scale = np.where(big, 1e-250, 1.0)
-            bj = bj * scale
-            bjp = bjp * scale
-            norm = norm * scale
-            for n in out:
-                out[n] = out[n] * scale
+        bound, bound_p = m * growth * bound + bound_p, bound
+        if not bound <= 1e249:
+            big = np.abs(bj) > 1e250
+            if np.any(big):
+                scale = np.where(big, 1e-250, 1.0)
+                bj = bj * scale
+                bjp = bjp * scale
+                norm = norm * scale
+                for n in out:
+                    out[n] = out[n] * scale
+            bound, bound_p = float(np.max(np.abs(bj))), float(np.max(np.abs(bjp)))
         if (m - 1) % 2 == 0 and m - 1 > 0:
             norm = norm + 2.0 * bj
         if m - 1 in out:

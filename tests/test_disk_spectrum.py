@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -67,6 +68,21 @@ class TestSpectrumList:
         monkeypatch.setattr(specfun, "bessel_deriv_zero", counted)
         ds.disk_spectrum_list(1.0, 400)
         assert calls and len(calls) == len(set(calls))
+
+    def test_normalization_once_per_zero(self, monkeypatch):
+        calls = Counter()
+        bessel_j = specfun.bessel_j
+
+        def counted(s, x):
+            if np.ndim(x) == 0:
+                calls[(s, float(x))] += 1
+            return bessel_j(s, x)
+
+        monkeypatch.setattr(specfun, "bessel_j", counted)
+        groups = ds.disk_spectrum_list(1.0, 60)
+        for g in groups[1:]:
+            zeros = {(m.s, m.beta) for m in g.modes}
+            assert sum(calls[z] for z in zeros) == len(zeros)
 
     def test_matches_scipy_enumeration(self):
         groups = ds.disk_spectrum_list(1.0, 400)

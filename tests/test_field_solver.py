@@ -115,6 +115,43 @@ class TestSolveSource:
             fs.solve_source(disk_system, bad)
 
 
+class TestDissectionOrder:
+    def test_permutation_of_all_nodes(self, rect_system):
+        order = rect_system.mesh.dissection_order
+        assert np.array_equal(np.sort(order), np.arange(rect_system.n))
+
+    def test_fill_below_default_ordering(self, rect_system):
+        lu = rect_system._source_lu()
+        default = fs.spla.splu(rect_system.stiffness[1:, 1:].tocsc())
+        assert lu.L.nnz + lu.U.nnz <= 0.7 * (default.L.nnz + default.U.nnz)
+
+    def test_solve_matches_default_factorization(self, inclusion_scene):
+        _, _, _, pert = inclusion_scene
+        g = np.random.default_rng(7).standard_normal(pert.n)
+        u = fs.solve_source(pert, g)
+        b = pert.mass.dot(g - pert.mean(g))
+        ref = np.zeros(pert.n)
+        ref[1:] = fs.spla.splu(pert.stiffness[1:, 1:].tocsc()).solve(b[1:])
+        ref -= pert.mean(ref)
+        assert np.linalg.norm(u - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_one_ordering_per_mesh(self, inclusion_scene, monkeypatch):
+        cfg = inclusion_scene[0]
+        calls = []
+        dissect = geo._nested_dissection
+
+        def counted(nodes, triangles):
+            calls.append(len(nodes))
+            return dissect(nodes, triangles)
+
+        monkeypatch.setattr(geo, "_nested_dissection", counted)
+        ops = fs.build_operators(cfg)
+        ops.unperturbed._source_lu()
+        ops.perturbed._source_lu()
+        assert calls == [len(ops.mesh.nodes)]
+        assert ops.unperturbed.mesh.dissection_order is ops.perturbed.mesh.dissection_order
+
+
 class TestSolveEigen:
     def test_rectangle_spectrum(self, rect_system):
         pairs = fs.solve_eigen(rect_system, 9)

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -177,6 +179,21 @@ class TestSweep:
         b = harness.run_sweep(scene, [0.05, 0.07, 0.09], **kw)
         assert np.array_equal(a.observed, b.observed)
         assert np.array_equal(a.predicted, b.predicted)
+
+    def test_two_workers_match_one(self, small_sweep):
+        scene = harness.benchmark_scene(mesh_h=0.05)
+        pooled = harness.run_sweep(
+            scene, [0.05, 0.07, 0.09], group_rank=2, convention="literature",
+            sched_coeff=3.0, workers=2,
+        )
+        assert len(pooled.points) == len(small_sweep.points) == 3
+        for a, b in zip(small_sweep.points, pooled.points):
+            for f in fields(a):
+                va, vb = getattr(a, f.name), getattr(b, f.name)
+                if isinstance(va, np.ndarray):
+                    assert np.array_equal(va, vb), f.name
+                else:
+                    assert va == vb, f.name
 
     def test_alpha_bounds(self):
         scene = harness.benchmark_scene(mesh_h=0.05)

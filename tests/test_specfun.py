@@ -90,6 +90,37 @@ class TestBesselJ:
             assert np.max(np.abs(j - sp.jv(s, xs))) < 1e-12
             assert np.max(np.abs(jp - sp.jvp(s, xs))) < 1e-11
 
+    def test_miller_matches_rescale_test_on_every_step(self):
+        def reference(orders, x):
+            # the backward recurrence with the rescale test run on every step
+            top = float(max(np.max(x), max(orders)))
+            m_start = int(top + np.sqrt(160.0 * top)) + 12
+            m_start += m_start % 2
+            bjp, bj, norm = np.zeros_like(x), np.full_like(x, 1e-30), np.zeros_like(x)
+            out = {n: np.zeros_like(x) for n in orders}
+            for m in range(m_start, 0, -1):
+                bjp, bj = bj, (2.0 * m / x) * bj - bjp
+                big = np.abs(bj) > 1e250
+                if np.any(big):
+                    scale = np.where(big, 1e-250, 1.0)
+                    bj, bjp, norm = bj * scale, bjp * scale, norm * scale
+                    out = {n: v * scale for n, v in out.items()}
+                if (m - 1) % 2 == 0 and m - 1 > 0:
+                    norm = norm + 2.0 * bj
+                if m - 1 in out:
+                    out[m - 1] = bj.copy()
+            norm = norm + bj
+            return np.stack([out[n] / norm for n in orders])
+
+        cases = [
+            ((0,), np.array([20.0])),
+            ((4, 5, 6), np.linspace(12.5, 29.0, 40)),
+            ((120,), np.array([13.0])),                        # rescales once
+            ((198, 199, 200), np.linspace(12.5, 600.0, 50)),  # rescales some entries only
+        ]
+        for orders, x in cases:
+            assert np.array_equal(specfun._miller(orders, x), reference(orders, x))
+
 
 class TestBesselJPrime:
     def test_at_zero(self):

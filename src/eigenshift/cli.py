@@ -114,15 +114,11 @@ def spectrum(ctx, domain_kind, radius, count):
 def perturbed(ctx, config_path, count):
     """Matched perturbed/unperturbed eigenvalue groups for a scene."""
     scene = load_scene(_resolve_config(ctx, config_path))
-    ops = fs.build_operators(scene)
-    pairs_un = fs.solve_eigen(ops.unperturbed, count, seed=ctx.obj["seed"])
-    pairs_pe = fs.solve_eigen(ops.perturbed, count, seed=ctx.obj["seed"])
     if scene.domain.kind == "disk":
         mults = [g.multiplicity for g in ds.disk_spectrum_list(scene.domain.radius, count)]
     else:
         mults = None
-    groups = fs.cluster_spectrum(pairs_un, multiplicities=mults)
-    matched = fs.match_groups(groups, pairs_pe, ops.unperturbed)
+    _, groups, matched = fs.observe(scene, count, mults, seed=ctx.obj["seed"])
     max_m = max(g.multiplicity for g in groups)
     header = ["rank", "lambda_unpert"] + [
         f"lambda_pert_{j + 1}" for j in range(max_m)

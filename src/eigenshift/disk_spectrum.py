@@ -162,9 +162,6 @@ class DiskEigenfunction:
                     out[tiny, 0, 1] = out[tiny, 1, 0] = q
         return out
 
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        return self.value(pts)
-
 
 @dataclass(frozen=True)
 class EigenGroup:

@@ -97,13 +97,9 @@ class DiscreteGroup:
 
 @dataclass
 class PerturbedGroup:
-    lambdas: np.ndarray
+    lambdas: np.ndarray       # (m,) ascending
     vectors: np.ndarray
-    matched_group: DiscreteGroup
     overlap: float
-
-    def __post_init__(self):
-        self.lambdas = np.sort(np.asarray(self.lambdas, dtype=float))
 
     @property
     def multiplicity(self) -> int:
@@ -262,16 +258,16 @@ def _mass_orthonormalize(system: AssembledSystem, vecs: np.ndarray) -> np.ndarra
 # ---------------------------------------------------------------------------
 # clustering and matching
 # ---------------------------------------------------------------------------
-def cluster_spectrum(
-    eigenpairs: list,
-    multiplicities: Optional[Sequence[int]] = None,
-    rel_gap: float = 1e-5,
-) -> list:
+CLUSTER_REL_GAP = 1e-5  # relative eigenvalue gap that splits two groups
+MIN_OVERLAP = 0.5       # least mean projection energy of a matched group
+
+
+def cluster_spectrum(eigenpairs: list, multiplicities: Optional[Sequence[int]] = None) -> list:
     """Group (lambda, nodal vector) pairs into DiscreteGroups.
 
     With `multiplicities` (e.g. from the analytic disk spectrum) the
     pairs are chunked by rank; otherwise consecutive relative gaps below
-    `rel_gap` merge.
+    CLUSTER_REL_GAP merge.
     """
     lams = np.array([p[0] for p in eigenpairs])
     vecs = np.column_stack([p[1] for p in eigenpairs])
@@ -291,7 +287,7 @@ def cluster_spectrum(
     rank = 1
     for j in range(1, len(lams) + 1):
         end_of_cluster = j == len(lams) or (
-            lams[j] - lams[j - 1] > rel_gap * max(abs(lams[j]), 1e-30)
+            lams[j] - lams[j - 1] > CLUSTER_REL_GAP * max(abs(lams[j]), 1e-30)
         )
         if end_of_cluster:
             groups.append(DiscreteGroup(lambdas=lams[start:j], vectors=vecs[:, start:j], rank=rank))
@@ -301,13 +297,11 @@ def cluster_spectrum(
 
 
 def match_groups(
-    unperturbed: Sequence[DiscreteGroup],
-    perturbed_spectrum: list,
-    system: AssembledSystem,
-    min_overlap: float = 0.5,
+    unperturbed: Sequence[DiscreteGroup], perturbed_spectrum: list, system: AssembledSystem
 ) -> list:
     """Match each unperturbed group to the perturbed eigenpairs with the
-    largest projection energy onto the group's span."""
+    largest projection energy onto the group's span; a mean projection
+    energy below MIN_OVERLAP raises MatchingError."""
     lams = np.array([p[0] for p in perturbed_spectrum])
     vecs = np.column_stack([p[1] for p in perturbed_spectrum])
     proj = system.mass.dot(vecs)
@@ -319,21 +313,14 @@ def match_groups(
         energy = np.where(used, -np.inf, energy)
         pick = np.argsort(energy)[::-1][:m]
         overlap = float(np.mean(energy[pick]))
-        if len(pick) < m or overlap < min_overlap:
+        if len(pick) < m or overlap < MIN_OVERLAP:
             raise MatchingError(
-                f"group rank {group.rank}: overlap {overlap:.3f} < {min_overlap} "
+                f"group rank {group.rank}: overlap {overlap:.3f} < {MIN_OVERLAP} "
                 "(perturbation too large or mesh too coarse)"
             )
         used[pick] = True
         order = np.sort(pick)
-        out.append(
-            PerturbedGroup(
-                lambdas=lams[order],
-                vectors=vecs[:, order],
-                matched_group=group,
-                overlap=overlap,
-            )
-        )
+        out.append(PerturbedGroup(lambdas=lams[order], vectors=vecs[:, order], overlap=overlap))
     return out
 
 
@@ -359,3 +346,14 @@ def build_operators(config) -> SceneOperators:
         unperturbed=assemble(mesh, ()),
         perturbed=assemble(mesh, active),
     )
+
+
+def observe(config, count: int, multiplicities: Optional[Sequence[int]] = None,
+            seed: int = 0) -> tuple:
+    """One scene's FEM observation: (SceneOperators, the unperturbed groups
+    of its smallest `count` eigenpairs, their matched perturbed groups)."""
+    ops = build_operators(config)
+    pairs_un = solve_eigen(ops.unperturbed, count, seed=seed)
+    pairs_pe = solve_eigen(ops.perturbed, count, seed=seed)
+    groups = cluster_spectrum(pairs_un, multiplicities=multiplicities)
+    return ops, groups, match_groups(groups, pairs_pe, ops.unperturbed)

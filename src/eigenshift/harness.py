@@ -2,9 +2,11 @@
 convention calibration, and the per-epsilon eigenvalue-shift experiment.
 
 A sweep first observes, then scores.  Observing is the expensive FEM
-part: each sweep point builds one inclusion-conforming mesh and
-differences perturbed against unperturbed eigenvalues on it (plus an
-optional noise-floor estimate).  Scoring is cheap and is done by
+part: each sweep point runs one `field_solver.observe`, which builds one
+inclusion-conforming mesh and differences perturbed against unperturbed
+eigenvalues on it, and adds the Osborn and energy diagnostics; the
+optional noise-floor estimate observes one more, coarser mesh at the
+smallest eps.  Scoring is cheap and is done by
 `apply_convention` alone: predictions under one tensor convention,
 remainders, the shift and remainder fits and the ratio monotonicity, so
 calibration re-scores one set of observations under every candidate.
@@ -36,7 +38,7 @@ from .asymptotics import (
     recover_quadratic,
 )
 from .errors import CalibrationError, FitError, ValidationError
-from .geometry import DomainSpec, InclusionSpec, SceneConfig
+from .geometry import DomainSpec, InclusionSpec, SceneConfig, validate_scene
 
 MESH_SCHEDULE_COEFF = 0.8
 MESH_SCHEDULE_POWER = 1.25
@@ -63,12 +65,22 @@ class RateReport:
         return self.refit if self.refit is not None else self
 
 
-def fit_rate(samples: Sequence[tuple], drop_preasymptotic: bool = True) -> RateReport:
+def fit_rate(samples: Sequence[tuple]) -> RateReport:
     """Least-squares line on (log eps, log value).
 
     When r^2 < 0.98 the largest-eps point is dropped once and the refit
     attached (preasymptotic contamination); both fits are reported.
     """
+    report = _fit_line(samples)
+    if report.r_squared < 0.98 and len(report.samples) >= 4:
+        largest = int(np.argmax([e for e, _ in report.samples]))
+        keep = tuple(i for i in range(len(report.samples)) if i != largest)
+        sub = _fit_line([report.samples[i] for i in keep])
+        report = replace(report, refit=replace(sub, window=keep))
+    return report
+
+
+def _fit_line(samples: Sequence[tuple]) -> RateReport:
     samples = tuple((float(e), float(v)) for e, v in samples)
     if len(samples) < 3:
         raise FitError("insufficient data: need at least 3 samples")
@@ -83,20 +95,13 @@ def fit_rate(samples: Sequence[tuple], drop_preasymptotic: bool = True) -> RateR
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
-    report = RateReport(
+    return RateReport(
         samples=samples,
         slope=float(slope),
         intercept=float(intercept),
         r_squared=max(0.0, min(1.0, r2)),
         window=tuple(range(len(samples))),
     )
-    if drop_preasymptotic and report.r_squared < 0.98 and len(samples) >= 4:
-        largest = int(np.argmax(eps))
-        trimmed = tuple(s for i, s in enumerate(samples) if i != largest)
-        sub = fit_rate(trimmed, drop_preasymptotic=False)
-        sub = replace(sub, window=tuple(i for i in range(len(samples)) if i != largest))
-        report = replace(report, refit=sub)
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +187,8 @@ def sup_norm_bound_table(
 ) -> dict:
     """Per-group sup norms of u, grad u / sqrt(lam), hess u / lam on a probe
     disk, by dense polar sampling (>= grid x grid points)."""
+    if not n_groups >= 1:
+        raise ValidationError(f"n_groups must be >= 1, got {n_groups!r}")
     center = np.asarray(probe_center, dtype=float)
     if np.hypot(*center) + probe_radius > radius:
         raise ValidationError("probe disk extends outside the domain")
@@ -317,42 +324,46 @@ def _analytic_groups(scene: SceneConfig, max_rank: int) -> list:
     return groups
 
 
+def _point_config(scene: SceneConfig, eps: float, sched_coeff: float) -> SceneConfig:
+    """The scene at one eps, meshed at the scheduled resolution h0."""
+    inclusions = tuple(replace(inc, epsilon=eps) for inc in scene.inclusions)
+    return replace(scene, inclusions=inclusions,
+                   mesh_h=schedule_mesh_h(eps, scene.mesh_h, sched_coeff))
+
+
+def _observe(
+    scene: SceneConfig, eps: float, rank: int, seed: int, sched_coeff: float,
+    analytic_groups: list,
+) -> tuple:
+    """The FEM observation at one eps, `fs.observe`'s (ops, groups, matched),
+    with the spectrum resolved through rank + 1 plus two guard pairs."""
+    mults = [g.multiplicity for g in analytic_groups[: rank + 1]]
+    return fs.observe(_point_config(scene, eps, sched_coeff), min(sum(mults) + 2, 300),
+                      mults, seed)
+
+
 def _sweep_point(
     scene: SceneConfig, eps: float, rank: int, seed: int, sched_coeff: float,
-    diagnostics: bool, analytic_groups: list,
+    analytic_groups: list,
 ) -> SweepPoint:
-    """One epsilon: mesh, both systems, matched group, Osborn and energy data."""
-    inclusions = tuple(replace(inc, epsilon=eps) for inc in scene.inclusions)
-    h0 = schedule_mesh_h(eps, scene.mesh_h, sched_coeff)
-    cfg = replace(scene, inclusions=inclusions, mesh_h=h0)
-    mults = [g.multiplicity for g in analytic_groups[: rank + 1]]
-    count = min(sum(mults) + 2, 300)
-
-    ops = fs.build_operators(cfg)
-    pairs_un = fs.solve_eigen(ops.unperturbed, count, seed=seed)
-    pairs_pe = fs.solve_eigen(ops.perturbed, count, seed=seed)
-    groups = fs.cluster_spectrum(pairs_un, multiplicities=mults)
-    matched = fs.match_groups(groups, pairs_pe, ops.unperturbed)
+    """One epsilon: the observation's matched group, Osborn and energy data."""
+    ops, groups, matched = _observe(scene, eps, rank, seed, sched_coeff, analytic_groups)
     grp, pg = groups[rank - 1], matched[rank - 1]
     a_grp = analytic_groups[rank - 1]
+    inclusions, h0 = ops.config.inclusions, ops.config.mesh_h
 
     centers = [inc.center for inc in inclusions]
     grad_analytic = np.stack([a_grp.gradients_at(z) for z in centers], axis=1)
 
-    osborn_vals = (np.nan,) * 4
-    energy_vals = (np.nan,) * 3
-    if diagnostics:
-        osborn = osborn_residual(grp, pg, ops.unperturbed, ops.perturbed)
-        # energy experiment: source g = first group mode, so u = T g = g/lam_j;
-        # the corrector gradient comes from the discrete mode itself so its
-        # basis and sign match the field being corrected
-        g_mode = grp.vectors[:, 0]
-        density = pol.solve_cell_problem(inclusions[0].shape, inclusions[0].k, 256)
-        _, g_rec, _ = recover_quadratic(ops.mesh, g_mode, centers[0], radius=3.0 * h0)
-        corrector = pol.corrector_field(density, g_rec / grp.lambdas[0], 1.0, sign="derived")
-        energy = energy_estimate(ops, g_mode, corrector)
-        osborn_vals = (osborn.lhs, osborn.bound_proxy, osborn.inner_term, osborn.eigen_term)
-        energy_vals = (energy.h1_uncorrected, energy.h1_corrected, energy.rhs_proxy)
+    osborn = osborn_residual(grp, pg, ops.unperturbed, ops.perturbed)
+    # energy experiment: source g = first group mode, so u = T g = g/lam_j;
+    # the corrector gradient comes from the discrete mode itself so its
+    # basis and sign match the field being corrected
+    g_mode = grp.vectors[:, 0]
+    density = pol.solve_cell_problem(inclusions[0].shape, inclusions[0].k, 256)
+    _, g_rec, _ = recover_quadratic(ops.mesh, g_mode, centers[0], radius=3.0 * h0)
+    corrector = pol.corrector_field(density, g_rec / grp.lambdas[0], 1.0)
+    energy = energy_estimate(ops, g_mode, corrector)
 
     return SweepPoint(
         eps=eps,
@@ -364,13 +375,13 @@ def _sweep_point(
         gradients=grad_analytic,
         group_lam_analytic=a_grp.lam,
         multiplicity=a_grp.multiplicity,
-        osborn_lhs=osborn_vals[0],
-        osborn_bound=osborn_vals[1],
-        osborn_inner=osborn_vals[2],
-        osborn_eigen=osborn_vals[3],
-        energy_h1=energy_vals[0],
-        energy_h1_corrected=energy_vals[1],
-        energy_rhs_proxy=energy_vals[2],
+        osborn_lhs=osborn.lhs,
+        osborn_bound=osborn.bound_proxy,
+        osborn_inner=osborn.inner_term,
+        osborn_eigen=osborn.eigen_term,
+        energy_h1=energy.h1_uncorrected,
+        energy_h1_corrected=energy.h1_corrected,
+        energy_rhs_proxy=energy.rhs_proxy,
         mesh_nodes=len(ops.mesh.nodes),
         mesh_h0=h0,
     )
@@ -409,20 +420,28 @@ def run_sweep(
     calibration_path: Optional[str] = None,
     estimate_floor: bool = False,
     sched_coeff: Optional[float] = None,
-    diagnostics: bool = True,
 ) -> SweepResult:
     """Run the eps sweep and fit shift and remainder orders.
 
     With alpha > 0 the group rank grows as floor(eps^-alpha) per point
     (capped at alpha = 1/2: beyond that the required rank outruns
     desk-scale FEM accuracy).  convention='calibrated' loads the choice
-    persisted by calibrate().
+    persisted by calibrate().  estimate_floor adds one observation at the
+    smallest eps on a 1.4x coarser schedule (see `_noise_floor`).  Every
+    input is validated before the first mesh is built.
     """
     if len(scene.inclusions) == 0:
         raise ValidationError("sweep scene needs at least one inclusion")
-    if alpha < 0.0 or alpha > 0.5:
-        raise ValidationError("alpha must lie in [0, 0.5]")
+    if not 0.0 <= alpha <= 0.5:
+        raise ValidationError(f"alpha must lie in [0, 0.5], got {alpha!r}")
+    if not isinstance(group_rank, (int, np.integer)) or group_rank < 2:
+        # rank 1 is the constant mode, which never shifts
+        raise ValidationError(f"group_rank must be an integer >= 2, got {group_rank!r}")
     eps_list = sorted(float(e) for e in eps_list)
+    if not all(0.0 < e < np.inf for e in eps_list):
+        raise ValidationError(f"eps values must be positive and finite, got {eps_list}")
+    if len(set(eps_list)) != len(eps_list) or len(eps_list) < 3:
+        raise ValidationError(f"the rate fits need 3 or more distinct eps values, got {eps_list}")
     if convention == "calibrated":
         if calibration_path is None:
             raise ValidationError("convention='calibrated' needs calibration_path")
@@ -442,18 +461,19 @@ def run_sweep(
         # with a growing index the gaps are large, so the bias-control
         # schedule can stay much coarser
         sched_coeff = MESH_SCHEDULE_COEFF if alpha == 0.0 else 2.5 * MESH_SCHEDULE_COEFF
+    if not sched_coeff > 0.0:
+        raise ValidationError(f"sched_coeff must be positive, got {sched_coeff!r}")
     ranks = [
         group_rank if alpha == 0.0 else max(2, int(np.floor(e ** (-alpha))))
         for e in eps_list
     ]
     analytic_groups = _analytic_groups(scene, max(ranks))
-    jobs = [
-        (scene, e, r, seed, sched_coeff, diagnostics, analytic_groups)
-        for e, r in zip(eps_list, ranks)
-    ]
+    for e in eps_list:  # an eps too large for d0 fails here, not after the smaller meshes
+        validate_scene(_point_config(scene, e, sched_coeff))
+    jobs = [(scene, e, r, seed, sched_coeff, analytic_groups) for e, r in zip(eps_list, ranks)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            points = list(ex.map(_sweep_point_star, jobs))
+            points = list(ex.map(_sweep_point, *zip(*jobs)))
     else:
         points = [_sweep_point(*j) for j in jobs]
 
@@ -461,9 +481,7 @@ def run_sweep(
     noise_floor = None
     floor_dominated = False
     if estimate_floor:
-        noise_floor = _noise_floor(
-            scene, eps_list[0], ranks[0], seed, sched_coeff, analytic_groups
-        )
+        noise_floor = _noise_floor(scene, points[0], seed, sched_coeff, analytic_groups)
         floor_dominated = bool(noise_floor >= 0.3 * abs(observed[0]))
     observations = SweepResult(
         points=points,
@@ -475,10 +493,6 @@ def run_sweep(
         floor_dominated=floor_dominated,
     )
     return apply_convention(observations, convention, use_m_factor)
-
-
-def _sweep_point_star(args):
-    return _sweep_point(*args)
 
 
 def apply_convention(result: SweepResult, convention: str, use_m_factor: bool) -> SweepResult:
@@ -507,13 +521,14 @@ def apply_convention(result: SweepResult, convention: str, use_m_factor: bool) -
 
 
 def _noise_floor(
-    scene: SceneConfig, eps: float, rank: int, seed: int, sched_coeff: float,
-    analytic_groups: list,
+    scene: SceneConfig, base: SweepPoint, seed: int, sched_coeff: float, analytic_groups: list,
 ) -> float:
-    """Two-resolution estimate of the discretization floor of the shift."""
-    base = _sweep_point(scene, eps, rank, seed, sched_coeff, False, analytic_groups)
-    coarse = _sweep_point(scene, eps, rank, seed, 1.4 * sched_coeff, False, analytic_groups)
-    return abs(base.observed - coarse.observed)
+    """Two-resolution estimate of the discretization floor of base's shift:
+    its distance to the shift observed at base's eps and rank on the 1.4x
+    coarser schedule.  Only the coarse mesh is observed here."""
+    rank = base.group_rank
+    _, groups, matched = _observe(scene, base.eps, rank, seed, 1.4 * sched_coeff, analytic_groups)
+    return abs(base.observed - (matched[rank - 1].harmonic_average - groups[rank - 1].lam))
 
 
 # ---------------------------------------------------------------------------

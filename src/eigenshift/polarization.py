@@ -225,8 +225,7 @@ class Corrector:
     """Evaluator of v(xi) = (c_k/lambda) sum_p du/dx_p(z) phi_p(xi).
 
     The transmission analysis of the difference field gives c_k = k - 1
-    for cell functions with unit-normal flux jump; both signs circulate,
-    so the opposite one stays available for comparison experiments.
+    for cell functions with unit-normal flux jump.
 
     v is the single layer of the combined density psi = values @ coef.
     Targets within NEAR_RADIUS * rho (rho = max |vertex|) get the exact
@@ -241,13 +240,9 @@ class Corrector:
     density: BoundaryDensity
     grad_u: np.ndarray
     lam: float
-    sign: str = "derived"  # 'derived' -> (k-1), 'flipped' -> (1-k)
 
     def __post_init__(self):
-        if self.sign not in ("derived", "flipped"):
-            raise ValidationError("sign must be 'derived' or 'flipped'")
-        c = (self.density.k - 1.0) if self.sign == "derived" else (1.0 - self.density.k)
-        self._coef = c / self.lam * np.asarray(self.grad_u, dtype=float)
+        self._coef = (self.density.k - 1.0) / self.lam * np.asarray(self.grad_u, dtype=float)
         pan = self.density.panels
         self._psi = self.density.values @ self._coef
         a = pan.vertices[:, 0] + 1j * pan.vertices[:, 1]
@@ -287,12 +282,10 @@ class Corrector:
         return eps * self.evaluate(xi)
 
 
-def corrector_field(
-    density: BoundaryDensity, grad_u_at_z, lam: float, sign: str = "derived"
-) -> Corrector:
+def corrector_field(density: BoundaryDensity, grad_u_at_z, lam: float) -> Corrector:
     """Corrector for one inclusion from its cell densities and the
     background gradient at the inclusion center."""
     grad = np.asarray(grad_u_at_z, dtype=float)
     if grad.shape != (2,):
         raise ValidationError("grad_u_at_z must be a 2-vector")
-    return Corrector(density=density, grad_u=grad, lam=lam, sign=sign)
+    return Corrector(density=density, grad_u=grad, lam=lam)

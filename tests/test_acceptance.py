@@ -51,7 +51,6 @@ def alpha_sweep():
         harness.BENCHMARK_EPS,
         alpha=0.5,
         convention="literature",
-        diagnostics=False,
         estimate_floor=True,
     )
 

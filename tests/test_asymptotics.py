@@ -225,8 +225,10 @@ class TestEnergy:
         _, grad, _ = asy.recover_quadratic(
             scene_ops.mesh, g_mode, inc.center, radius=0.12
         )
-        good = pol.corrector_field(density, grad / grp.lambdas[0], 1.0, sign="derived")
-        bad = pol.corrector_field(density, grad / grp.lambdas[0], 1.0, sign="flipped")
+        # the opposite sign (1 - k) of the coefficient, exactly: -grad negates
+        # the product (k - 1) / lam * grad bit for bit
+        good = pol.corrector_field(density, grad / grp.lambdas[0], 1.0)
+        bad = pol.corrector_field(density, -grad / grp.lambdas[0], 1.0)
         rep_good = asy.energy_estimate(scene_ops, g_mode, good)
         rep_bad = asy.energy_estimate(scene_ops, g_mode, bad)
         assert rep_good.h1_corrected < rep_bad.h1_corrected

@@ -124,6 +124,20 @@ class TestPerturbedCommand:
         assert result.exit_code == 2
 
 
+    def test_csv_unchanged_on_the_shared_observation(self, runner, tmp_path):
+        # the command's output before it ran on field_solver.observe
+        cfg = write_scene(tmp_path / "scene.json")
+        result = runner.invoke(
+            main, ["--out", str(tmp_path), "perturbed", "--config", cfg, "--count", "4"]
+        )
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "perturbed.csv").read_text() == (
+            "rank,lambda_unpert,lambda_pert_1,lambda_pert_2,harmonic_average,overlap\n"
+            "1,0,0,nan,0,1\n"
+            "2,3.39382417595,3.4014452252,3.40417397732,3.40280905421,0.999987394522\n"
+        )
+
+
 class TestWeylCommand:
     def test_rectangle(self, runner, tmp_path):
         result = runner.invoke(
@@ -144,6 +158,11 @@ class TestBoundsCommand:
         checks = json.loads(result.output.split("\n", 1)[1])
         assert all(checks[c]["max_le_10_median"] for c in checks)
 
+    def test_no_groups_exit_2(self, runner, tmp_path):
+        result = runner.invoke(main, ["--out", str(tmp_path), "bounds", "--count", "0"])
+        assert result.exit_code == 2, result.output
+        assert "n_groups" in result.output
+
 
 class TestSweepCommand:
     def test_insufficient_eps_exit_2(self, runner, tmp_path):
@@ -154,6 +173,32 @@ class TestSweepCommand:
              "--convention", "literature"],
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("args, message", [
+        pytest.param(["--group", "0"], "group_rank", id="rank-0"),
+        pytest.param(["--group", "-1"], "group_rank", id="rank-negative"),
+        pytest.param(["--group", "1"], "group_rank", id="rank-1-constant-mode"),
+        pytest.param(["--eps", ""], "eps", id="no-eps"),
+        pytest.param(["--eps", "0.05"], "eps", id="one-eps"),
+        pytest.param(["--eps", "0.05,0.05,0.07"], "eps", id="repeated-eps"),
+        pytest.param(["--eps", "0,0.05,0.07"], "eps", id="zero-eps"),
+        pytest.param(["--alpha", "nan"], "alpha", id="alpha-nan"),
+        pytest.param(["--sched-coeff", "nan"], "sched_coeff", id="sched-coeff-nan"),
+    ])
+    def test_invalid_sweep_input_exit_2_before_meshing(self, runner, tmp_path, monkeypatch,
+                                                         args, message):
+        def no_mesh(config):
+            raise AssertionError("a mesh was built before validation")
+
+        monkeypatch.setattr(geo, "build_mesh", no_mesh)
+        cfg = write_scene(tmp_path / "scene.json")
+        result = runner.invoke(
+            main,
+            ["--out", str(tmp_path), "sweep", "--config", cfg, "--eps", "0.05,0.07,0.09",
+             "--convention", "literature", *args],
+        )
+        assert result.exit_code == 2, result.output
+        assert message in result.output
 
     def test_malformed_eps_exit_2(self, runner, tmp_path):
         cfg = write_scene(tmp_path / "scene.json")

@@ -1,12 +1,19 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eigenshift import disk_spectrum as ds
+from eigenshift import field_solver as fs
+from eigenshift import geometry as geo
 from eigenshift import harness
 from eigenshift.errors import CalibrationError, FitError, ValidationError
 from eigenshift.geometry import DomainSpec
+
+EPS3 = [0.05, 0.07, 0.09]
+DIAGNOSTICS = ("osborn_lhs", "osborn_bound", "osborn_inner", "osborn_eigen",
+               "energy_h1", "energy_h1_corrected", "energy_rhs_proxy")
 
 
 class TestFitRate:
@@ -115,6 +122,10 @@ class TestBoundTable:
         with pytest.raises(ValidationError):
             harness.sup_norm_bound_table(probe_center=(0.99, 0.0), probe_radius=0.05)
 
+    def test_no_groups_rejected(self):
+        with pytest.raises(ValidationError, match="n_groups"):
+            harness.sup_norm_bound_table(n_groups=0)
+
 
 class TestScheduleAndScenes:
     def test_schedule_capped(self):
@@ -173,8 +184,7 @@ class TestSweep:
 
     def test_deterministic(self):
         scene = harness.benchmark_scene(mesh_h=0.05)
-        kw = dict(group_rank=2, convention="literature", sched_coeff=3.0,
-                  diagnostics=False)
+        kw = dict(group_rank=2, convention="literature", sched_coeff=3.0)
         a = harness.run_sweep(scene, [0.05, 0.07, 0.09], **kw)
         b = harness.run_sweep(scene, [0.05, 0.07, 0.09], **kw)
         assert np.array_equal(a.observed, b.observed)
@@ -188,6 +198,8 @@ class TestSweep:
         )
         assert len(pooled.points) == len(small_sweep.points) == 3
         for a, b in zip(small_sweep.points, pooled.points):
+            for name in DIAGNOSTICS:
+                assert np.isfinite(getattr(a, name)), name
             for f in fields(a):
                 va, vb = getattr(a, f.name), getattr(b, f.name)
                 if isinstance(va, np.ndarray):
@@ -200,6 +212,29 @@ class TestSweep:
         with pytest.raises(ValidationError):
             harness.run_sweep(scene, [0.05, 0.07, 0.1], alpha=0.8)
 
+    @pytest.mark.parametrize("eps, kwargs, message", [
+        pytest.param(EPS3, dict(group_rank=0), "group_rank", id="rank-0"),
+        pytest.param(EPS3, dict(group_rank=-1), "group_rank", id="rank-negative"),
+        pytest.param(EPS3, dict(group_rank=1), "group_rank", id="rank-1-constant-mode"),
+        pytest.param([], {}, "eps", id="no-eps"),
+        pytest.param([0.05], {}, "eps", id="one-eps"),
+        pytest.param([0.05, 0.05, 0.07], {}, "eps", id="repeated-eps"),
+        pytest.param([0.0, 0.05, 0.07], {}, "eps", id="zero-eps"),
+        pytest.param([0.05, 0.07, 0.5], {}, "too large", id="eps-too-large-for-d0"),
+        pytest.param(EPS3, dict(sched_coeff=0.0), "sched_coeff", id="sched-coeff-0"),
+        pytest.param(EPS3, dict(sched_coeff=float("nan")), "sched_coeff", id="sched-coeff-nan"),
+        pytest.param(EPS3, dict(alpha=float("nan")), "alpha", id="alpha-nan"),
+    ])
+    def test_invalid_input_rejected_before_meshing(self, monkeypatch, eps, kwargs, message):
+        def no_mesh(config):
+            raise AssertionError("a mesh was built before validation")
+
+        monkeypatch.setattr(geo, "build_mesh", no_mesh)
+        scene = harness.benchmark_scene(mesh_h=0.05)
+        kwargs = {"sched_coeff": 3.0, **kwargs}
+        with pytest.raises(ValidationError, match=message):
+            harness.run_sweep(scene, eps, convention="literature", **kwargs)
+
     def test_needs_inclusion(self):
         from dataclasses import replace
 
@@ -211,3 +246,48 @@ class TestSweep:
         scene = harness.benchmark_scene(mesh_h=0.05)
         with pytest.raises(ValidationError):
             harness.run_sweep(scene, [0.05, 0.07, 0.1], convention="calibrated")
+
+
+FLOOR_COEFF = 1.5  # 1.4x coarser is still below the scene's mesh_h cap at eps = 0.05
+
+
+@pytest.fixture(scope="module")
+def floor_sweep():
+    calls = []
+    original = geo.build_mesh
+
+    def counting(config):
+        calls.append(config.mesh_h)
+        return original(config)
+
+    geo.build_mesh = counting
+    try:
+        result = harness.run_sweep(
+            harness.benchmark_scene(mesh_h=0.05), EPS3, convention="literature",
+            sched_coeff=FLOOR_COEFF, estimate_floor=True,
+        )
+    finally:
+        geo.build_mesh = original
+    return result, calls
+
+
+class TestNoiseFloor:
+    def test_one_extra_mesh(self, floor_sweep):
+        # three sweep points and the coarse mesh; the base point is not rebuilt
+        _, calls = floor_sweep
+        assert len(calls) == 4
+
+    def test_floor_against_coarse_observation(self, floor_sweep):
+        result, calls = floor_sweep
+        scene = harness.benchmark_scene(mesh_h=0.05)
+        eps = EPS3[0]
+        h0 = harness.schedule_mesh_h(eps, scene.mesh_h, 1.4 * FLOOR_COEFF)
+        assert h0 < scene.mesh_h and calls[-1] == h0
+        coarse_scene = replace(
+            scene, inclusions=(replace(scene.inclusions[0], epsilon=eps),), mesh_h=h0
+        )
+        mults = [g.multiplicity for g in ds.disk_spectrum_list(1.0, 12)[:3]]
+        _, groups, matched = fs.observe(coarse_scene, sum(mults) + 2, mults, seed=0)
+        coarse = matched[1].harmonic_average - groups[1].lam
+        assert result.noise_floor == abs(result.points[0].observed - coarse)
+        assert result.noise_floor > 0.0

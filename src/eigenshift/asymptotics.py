@@ -173,19 +173,21 @@ class EnergyReport:
     improved: bool
 
 
-def energy_estimate(ops: SceneOperators, g, corrector: Corrector) -> EnergyReport:
+def energy_estimate(ops: SceneOperators, g, u, corrector: Corrector) -> EnergyReport:
     """Measure the source-problem convergence and the corrector's effect.
 
-    `g` is the source as a nodal array; the corrector must
-    correspond to the unperturbed solution u = T g of the same scene and
-    is placed at its first active inclusion.  The three sup-norms on that
-    inclusion are measured from the discrete solution itself.
+    `g` is the source as a nodal array and `u` the unperturbed solution
+    T g, solved while the unperturbed factor was alive (`observe` gives it
+    as the group's `t_first`); only u_eps = T_eps g is solved here.  The
+    corrector must correspond to u and is placed at the first active
+    inclusion.  The three sup-norms on that inclusion are measured from
+    the discrete solution itself.
     """
     inc = [i for i in ops.config.inclusions if i.epsilon > 0.0][0]
     eps = inc.epsilon
     g_vals = np.asarray(g, dtype=float)
+    u = np.asarray(u, dtype=float)
     u_eps = solve_source(ops.perturbed, g_vals)
-    u = solve_source(ops.unperturbed, g_vals)
     diff = u_eps - u
     h1_unc = ops.unperturbed.h1_norm(diff)
     w = corrector.scaled_physical(ops.mesh.nodes, inc.center, eps)

@@ -18,8 +18,13 @@ eigensolve iterates the same T, whose largest eigenvalues are 1/lambda,
 so one factorization of each system serves its source solves and its
 eigenpairs; the constant mode (lambda = 0) is added exactly.  Perturbed
 and unperturbed systems share one inclusion-conforming mesh, and with it
-one ordering, so eigenvalue differences cancel the leading
-discretization error.
+one ordering and one mass matrix, so eigenvalue differences cancel the
+leading discretization error.
+
+One mesh holds one live factorization at a time: `observe` finishes every
+solve with the unperturbed factor (its eigensolve and the T-images of its
+groups' first modes), frees it, and only then factorizes the perturbed
+system.
 """
 
 from __future__ import annotations
@@ -75,6 +80,10 @@ class AssembledSystem:
                                  options={"SymmetricMode": True})
         return self._lu
 
+    def drop_factor(self) -> None:
+        """Free the grounded LU; the stiffness and mass stay usable."""
+        self._lu = self._perm = None
+
 
 @dataclass
 class DiscreteGroup:
@@ -83,6 +92,7 @@ class DiscreteGroup:
     lambdas: np.ndarray       # (m,) ascending
     vectors: np.ndarray       # (n, m) mass-orthonormal
     rank: int                 # 1-based group rank in the spectrum
+    t_first: Optional[np.ndarray] = None  # T vectors[:, 0]; `observe` solves it
 
     @property
     def multiplicity(self) -> int:
@@ -122,7 +132,8 @@ def harmonic_average(lams: np.ndarray) -> float:
 # assembly
 # ---------------------------------------------------------------------------
 def assemble(mesh: Mesh, inclusions: Sequence[InclusionSpec]) -> AssembledSystem:
-    """Stiffness with per-region conductivity and consistent P1 mass.
+    """Stiffness with per-region conductivity; the consistent P1 mass is
+    the mesh's own `Mesh.mass`, shared by every system on the mesh.
 
     Pass an empty inclusion list for the unperturbed operator (a = 1)
     regardless of the mesh's tags.
@@ -138,25 +149,22 @@ def assemble(mesh: Mesh, inclusions: Sequence[InclusionSpec]) -> AssembledSystem
         for l, inc in enumerate(inclusions):
             coeff[mesh.region == l] = inc.k
 
-    e, area = p1_geometry(mesh.nodes, mesh.triangles)  # K and M are orientation-free
+    e, area = p1_geometry(mesh.nodes, mesh.triangles)  # K is orientation-free
     if np.any(area <= 0):
         raise SolverError("degenerate triangle in assembly")
 
     n = len(mesh.nodes)
-    rows, cols, k_data, m_data = [], [], [], []
+    rows, cols, k_data = [], [], []
     for i in range(3):
         for j in range(3):
             rows.append(mesh.triangles[:, i])
             cols.append(mesh.triangles[:, j])
             k_data.append(coeff * np.einsum("td,td->t", e[:, i], e[:, j]) / (4.0 * area))
-            m_data.append(area / (6.0 if i == j else 12.0))
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     stiffness = sp.csr_matrix((np.concatenate(k_data), (rows, cols)), shape=(n, n))
-    mass = sp.csr_matrix((np.concatenate(m_data), (rows, cols)), shape=(n, n))
     stiffness = 0.5 * (stiffness + stiffness.T)
-    mass = 0.5 * (mass + mass.T)
-    return AssembledSystem(stiffness=stiffness.tocsr(), mass=mass.tocsr(), mesh=mesh,
+    return AssembledSystem(stiffness=stiffness.tocsr(), mass=mesh.mass, mesh=mesh,
                            inclusions=inclusions)
 
 
@@ -351,9 +359,22 @@ def build_operators(config) -> SceneOperators:
 def observe(config, count: int, multiplicities: Optional[Sequence[int]] = None,
             seed: int = 0) -> tuple:
     """One scene's FEM observation: (SceneOperators, the unperturbed groups
-    of its smallest `count` eigenpairs, their matched perturbed groups)."""
+    of its smallest `count` eigenpairs, their matched perturbed groups).
+
+    The unperturbed phase runs to its end first: its eigensolve and, for
+    each group, `t_first`, the one solve with T that the energy estimate
+    needs.  Its factor is then freed, before the perturbed system is
+    factorized, so at most one grounded LU is alive at any time; the
+    returned `ops.unperturbed` keeps its matrices but holds no factor.
+    """
     ops = build_operators(config)
-    pairs_un = solve_eigen(ops.unperturbed, count, seed=seed)
-    pairs_pe = solve_eigen(ops.perturbed, count, seed=seed)
-    groups = cluster_spectrum(pairs_un, multiplicities=multiplicities)
-    return ops, groups, match_groups(groups, pairs_pe, ops.unperturbed)
+    groups = cluster_spectrum(solve_eigen(ops.unperturbed, count, seed=seed), multiplicities)
+    for group in groups:
+        first = group.vectors[:, 0]
+        # T maps the constant mode (lambda = 0 exactly) to 0; its projected
+        # load is rounding noise, which no solve should see
+        group.t_first = (solve_source(ops.unperturbed, first) if group.lambdas[0] != 0.0
+                         else np.zeros_like(first))
+    ops.unperturbed.drop_factor()
+    pairs = solve_eigen(ops.perturbed, count, seed=seed)
+    return ops, groups, match_groups(groups, pairs, ops.unperturbed)

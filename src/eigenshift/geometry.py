@@ -1,5 +1,5 @@
-"""Domain and inclusion descriptors, scene validation, mesh generation, and
-the mesh's fill-reducing elimination order.
+"""Domain and inclusion descriptors, scene validation, mesh generation, the
+mesh's P1 mass matrix and its fill-reducing elimination order.
 
 The mesher builds a deterministic point cloud and takes its Delaunay
 triangulation.  Each inclusion boundary is polygonalized with
@@ -418,6 +418,22 @@ class Mesh:
     @property
     def centroids(self) -> np.ndarray:
         return self.nodes[self.triangles].mean(axis=1)
+
+    @cached_property
+    def mass(self) -> sp.csr_matrix:
+        """Consistent P1 mass matrix; it does not depend on the conductivity,
+        so every system assembled on this mesh shares this one."""
+        n = len(self.nodes)
+        area = self.areas
+        rows, cols, data = [], [], []
+        for i in range(3):
+            for j in range(3):
+                rows.append(self.triangles[:, i])
+                cols.append(self.triangles[:, j])
+                data.append(area / (6.0 if i == j else 12.0))
+        mass = sp.csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(n, n))
+        return (0.5 * (mass + mass.T)).tocsr()
 
     @cached_property
     def dissection_order(self) -> np.ndarray:

@@ -42,6 +42,7 @@ from .geometry import DomainSpec, InclusionSpec, SceneConfig, validate_scene
 
 MESH_SCHEDULE_COEFF = 0.8
 MESH_SCHEDULE_POWER = 1.25
+FLOOR_COARSENING = 1.4  # schedule coefficient factor of the noise floor's coarse mesh
 CONVENTION_CANDIDATES = tuple(
     (conv, use_m) for conv in pol.CONVENTIONS for use_m in (True, False)
 )
@@ -356,14 +357,15 @@ def _sweep_point(
     grad_analytic = np.stack([a_grp.gradients_at(z) for z in centers], axis=1)
 
     osborn = osborn_residual(grp, pg, ops.unperturbed, ops.perturbed)
-    # energy experiment: source g = first group mode, so u = T g = g/lam_j;
-    # the corrector gradient comes from the discrete mode itself so its
-    # basis and sign match the field being corrected
+    # energy experiment: source g = first group mode, so u = T g = g/lam_j
+    # (the observation's t_first, solved before the unperturbed factor was
+    # freed); the corrector gradient comes from the discrete mode itself so
+    # its basis and sign match the field being corrected
     g_mode = grp.vectors[:, 0]
     density = pol.solve_cell_problem(inclusions[0].shape, inclusions[0].k, 256)
     _, g_rec, _ = recover_quadratic(ops.mesh, g_mode, centers[0], radius=3.0 * h0)
     corrector = pol.corrector_field(density, g_rec / grp.lambdas[0], 1.0)
-    energy = energy_estimate(ops, g_mode, corrector)
+    energy = energy_estimate(ops, g_mode, grp.t_first, corrector)
 
     return SweepPoint(
         eps=eps,
@@ -427,8 +429,9 @@ def run_sweep(
     (capped at alpha = 1/2: beyond that the required rank outruns
     desk-scale FEM accuracy).  convention='calibrated' loads the choice
     persisted by calibrate().  estimate_floor adds one observation at the
-    smallest eps on a 1.4x coarser schedule (see `_noise_floor`).  Every
-    input is validated before the first mesh is built.
+    smallest eps on a 1.4x coarser schedule (see `_noise_floor`), which
+    must give a larger h0 than the base point's.  Every input is validated
+    before the first mesh is built.
     """
     if len(scene.inclusions) == 0:
         raise ValidationError("sweep scene needs at least one inclusion")
@@ -463,6 +466,16 @@ def run_sweep(
         sched_coeff = MESH_SCHEDULE_COEFF if alpha == 0.0 else 2.5 * MESH_SCHEDULE_COEFF
     if not sched_coeff > 0.0:
         raise ValidationError(f"sched_coeff must be positive, got {sched_coeff!r}")
+    if estimate_floor:
+        base_h0 = schedule_mesh_h(eps_list[0], scene.mesh_h, sched_coeff)
+        coarse_h0 = schedule_mesh_h(eps_list[0], scene.mesh_h, FLOOR_COARSENING * sched_coeff)
+        if not coarse_h0 > base_h0:
+            # the mesh_h cap makes both meshes one mesh: the floor would read 0
+            raise ValidationError(
+                f"noise floor needs a coarser mesh at eps = {eps_list[0]:g}, but both "
+                f"resolutions are capped at h0 = {base_h0:g} by mesh_h = {scene.mesh_h:g}: "
+                "lower sched_coeff or raise mesh_h"
+            )
     ranks = [
         group_rank if alpha == 0.0 else max(2, int(np.floor(e ** (-alpha))))
         for e in eps_list
@@ -527,7 +540,8 @@ def _noise_floor(
     its distance to the shift observed at base's eps and rank on the 1.4x
     coarser schedule.  Only the coarse mesh is observed here."""
     rank = base.group_rank
-    _, groups, matched = _observe(scene, base.eps, rank, seed, 1.4 * sched_coeff, analytic_groups)
+    _, groups, matched = _observe(scene, base.eps, rank, seed, FLOOR_COARSENING * sched_coeff,
+                                  analytic_groups)
     return abs(base.observed - (matched[rank - 1].harmonic_average - groups[rank - 1].lam))
 
 

@@ -73,9 +73,15 @@ def _series(s: int, x: np.ndarray, max_terms: int = 80) -> np.ndarray:
         term = term * half / j
     total = term.copy()
     q = half * half
+    # The stop test over the grid can pass only where it passes at the
+    # largest argument, whose term decays last, so it runs only on those
+    # steps: the series stops at exactly the same term.
+    top = int(np.argmax(x))
     for m in range(1, max_terms):
         term = -term * q / (m * (m + s))
         total += term
+        if not abs(term[top]) <= 1e-18 * (1.0 + abs(total[top])):
+            continue
         if np.all(np.abs(term) <= 1e-18 * (1.0 + np.abs(total))):
             break
     return total

@@ -31,9 +31,21 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="session")
 def calibration():
-    t0 = time.time()
-    result = harness.calibrate()
-    result.base_sweep.elapsed = time.time() - t0  # type: ignore[attr-defined]
+    splu = fs.spla.splu
+    factorizations = []
+
+    def counted(matrix, **kwargs):
+        factorizations.append(matrix.shape[0])
+        return splu(matrix, **kwargs)
+
+    fs.spla.splu = counted
+    try:
+        t0 = time.time()
+        result = harness.calibrate()
+        result.base_sweep.elapsed = time.time() - t0  # type: ignore[attr-defined]
+    finally:
+        fs.spla.splu = splu
+    result.base_sweep.factorizations = factorizations  # type: ignore[attr-defined]
     return result
 
 
@@ -331,3 +343,14 @@ def test_criterion_9_growing_index(alpha_sweep):
         f"{res.noise_floor:.1e}, floor_dominated={res.floor_dominated}",
     )
     assert order >= 1.4 or res.floor_dominated
+
+
+# ---------------------------------------------------------------------------
+# cost invariant of the calibration sweep (not an acceptance criterion)
+# ---------------------------------------------------------------------------
+def test_calibration_factorizes_each_operator_once(calibration):
+    # four sweep points, each factorizing its unperturbed and its perturbed
+    # grounded stiffness once: freeing a factor early must not force a second LU
+    sizes = calibration.base_sweep.factorizations
+    assert len(sizes) == 2 * len(harness.BENCHMARK_EPS) == 8
+    assert sizes[0::2] == sizes[1::2]  # the two systems of a point share a mesh

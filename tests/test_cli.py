@@ -184,6 +184,9 @@ class TestSweepCommand:
         pytest.param(["--eps", "0,0.05,0.07"], "eps", id="zero-eps"),
         pytest.param(["--alpha", "nan"], "alpha", id="alpha-nan"),
         pytest.param(["--sched-coeff", "nan"], "sched_coeff", id="sched-coeff-nan"),
+        # the mesh_h cap makes the floor's coarse mesh the base mesh at eps = 0.05
+        pytest.param(["--sched-coeff", "3", "--estimate-floor"], "noise floor",
+                     id="floor-mesh-not-coarser"),
     ])
     def test_invalid_sweep_input_exit_2_before_meshing(self, runner, tmp_path, monkeypatch,
                                                          args, message):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -151,6 +153,10 @@ class TestDissectionOrder:
         assert calls == [len(ops.mesh.nodes)]
         assert ops.unperturbed.mesh.dissection_order is ops.perturbed.mesh.dissection_order
 
+    def test_one_mass_matrix_per_mesh(self, inclusion_scene):
+        ops = fs.build_operators(inclusion_scene[0])
+        assert ops.unperturbed.mass is ops.perturbed.mass is ops.mesh.mass
+
 
 class TestSolveEigen:
     def test_rectangle_spectrum(self, rect_system):
@@ -251,6 +257,46 @@ class TestSolveEigen:
             fs.solve_eigen(disk_system, 0)
         with pytest.raises(ValidationError):
             fs.solve_eigen(disk_system, 301)
+
+
+class TestObserve:
+    def test_unperturbed_factor_freed_before_perturbed_factorization(self, inclusion_scene,
+                                                                     monkeypatch):
+        splu = fs.spla.splu
+
+        class Factor:  # SuperLU objects take no weak references
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, b):
+                return self.lu.solve(b)
+
+        refs, live_before = [], []  # every factor made; live ones at each factorization
+
+        def tracked(matrix, **kwargs):
+            live_before.append(sum(ref() is not None for ref in refs))
+            factor = Factor(splu(matrix, **kwargs))
+            refs.append(weakref.ref(factor))
+            return factor
+
+        monkeypatch.setattr(fs.spla, "splu", tracked)
+        mults = [g.multiplicity for g in ds.disk_spectrum_list(1.0, 4)]
+        ops, _, _ = fs.observe(inclusion_scene[0], sum(mults) + 2, mults)
+        # the unperturbed system is factorized first, the perturbed one second
+        assert live_before == [0, 0]
+        assert refs[0]() is None and ops.unperturbed._lu is None
+        assert ops.perturbed._lu is not None  # the Osborn and energy solves still need it
+
+    def test_t_first_is_the_unperturbed_source_solve(self, inclusion_scene):
+        mults = [g.multiplicity for g in ds.disk_spectrum_list(1.0, 4)]
+        ops, groups, _ = fs.observe(inclusion_scene[0], sum(mults) + 2, mults)
+        fresh = fs.assemble(ops.mesh, ())
+        assert groups[0].lambdas[0] == 0.0 and np.all(groups[0].t_first == 0.0)
+        for grp in groups[1:]:
+            first = grp.vectors[:, 0]
+            assert np.array_equal(grp.t_first, fs.solve_source(fresh, first))
+            assert np.max(np.abs(grp.t_first - first / grp.lambdas[0])) < 1e-8 * np.max(
+                np.abs(grp.t_first))
 
 
 class TestMatching:

@@ -224,6 +224,8 @@ class TestSweep:
         pytest.param(EPS3, dict(sched_coeff=0.0), "sched_coeff", id="sched-coeff-0"),
         pytest.param(EPS3, dict(sched_coeff=float("nan")), "sched_coeff", id="sched-coeff-nan"),
         pytest.param(EPS3, dict(alpha=float("nan")), "alpha", id="alpha-nan"),
+        # h0 = min(0.05, c * 0.05^1.25) is the cap for c = 3 and for 1.4 c alike
+        pytest.param(EPS3, dict(estimate_floor=True), "noise floor", id="floor-mesh-not-coarser"),
     ])
     def test_invalid_input_rejected_before_meshing(self, monkeypatch, eps, kwargs, message):
         def no_mesh(config):

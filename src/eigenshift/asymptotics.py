@@ -28,13 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .field_solver import (
-    AssembledSystem,
-    DiscreteGroup,
-    PerturbedGroup,
-    SceneOperators,
-    solve_source,
-)
+from .field_solver import AssembledSystem, DiscreteGroup, PerturbedGroup, SceneOperators
 from .geometry import InclusionSpec, Mesh, p1_geometry
 from .polarization import Corrector, PolarizationTensor
 
@@ -47,7 +41,6 @@ class ShiftPrediction:
     epsilon: float
     group_lam: float
     multiplicity: int
-    q: np.ndarray            # (m, L) quadratic forms grad . M grad
     value: float             # predicted lambda_bar - lambda
     use_m_factor: bool
     convention: str
@@ -85,7 +78,6 @@ def predicted_shift(
         epsilon=epsilon,
         group_lam=group.lam,
         multiplicity=m,
-        q=q,
         value=value,
         use_m_factor=use_m_factor,
         convention=tensors[0].convention if tensors else "paper",
@@ -123,7 +115,6 @@ def recover_quadratic(mesh: Mesh, values: np.ndarray, z, radius: float):
 class OsbornReport:
     lhs: float               # |1/lam - mean(1/lam_eps) - inner_term|
     bound_proxy: float       # ||(T - T_eps)|_span||^2 from the Gram matrix
-    ratio: float
     inner_term: float
     eigen_term: float        # 1/lam - mean_j 1/lam_eps^j
 
@@ -137,16 +128,18 @@ def osborn_residual(
     group: DiscreteGroup,
     perturbed: PerturbedGroup,
     unpert_system: AssembledSystem,
-    pert_system: AssembledSystem,
+    t_eps: np.ndarray,
 ) -> OsbornReport:
-    """Discrete Osborn identity residual for one matched group."""
+    """Discrete Osborn identity residual for one matched group.
+
+    `t_eps` holds T_eps u_j in column j for each group mode u_j.
+    """
     m = group.multiplicity
     lam_ref = group.lam  # harmonic mean; cancels the discrete splitting
     inner = 0.0
     diffs = []
     for j in range(m):
-        u_j = group.vectors[:, j]
-        v_eps = solve_source(pert_system, u_j)
+        u_j, v_eps = group.vectors[:, j], t_eps[:, j]
         inner += unpert_system.inner(u_j / lam_ref - v_eps, u_j)
         diffs.append(u_j / group.lambdas[j] - v_eps)  # exact T u_j = u_j/lam_j
     inner /= m
@@ -155,8 +148,7 @@ def osborn_residual(
     d = np.column_stack(diffs)
     gram = d.T @ unpert_system.mass.dot(d)
     bound_proxy = float(np.max(np.linalg.eigvalsh(gram)))
-    ratio = lhs / bound_proxy if bound_proxy > 0 else np.inf if lhs > 0 else 0.0
-    return OsbornReport(lhs=lhs, bound_proxy=max(bound_proxy, 0.0), ratio=ratio,
+    return OsbornReport(lhs=lhs, bound_proxy=max(bound_proxy, 0.0),
                         inner_term=inner, eigen_term=eigen_term)
 
 
@@ -173,21 +165,23 @@ class EnergyReport:
     improved: bool
 
 
-def energy_estimate(ops: SceneOperators, g, u, corrector: Corrector) -> EnergyReport:
+def energy_estimate(ops: SceneOperators, g, lam: float, u_eps, corrector: Corrector
+                    ) -> EnergyReport:
     """Measure the source-problem convergence and the corrector's effect.
 
-    `g` is the source as a nodal array and `u` the unperturbed solution
-    T g, solved while the unperturbed factor was alive (`observe` gives it
-    as the group's `t_first`); only u_eps = T_eps g is solved here.  The
+    `g` is an unperturbed eigenmode with eigenvalue `lam` > 0, as a nodal
+    array, so the unperturbed solution is exactly u = T g = g/lam; `u_eps`
+    is T_eps g, solved by the caller.  Nothing is solved here.  The
     corrector must correspond to u and is placed at the first active
     inclusion.  The three sup-norms on that inclusion are measured from
     the discrete solution itself.
     """
+    if not lam > 0.0:
+        raise ValidationError("the source must be a nonconstant eigenmode (lam > 0)")
     inc = [i for i in ops.config.inclusions if i.epsilon > 0.0][0]
     eps = inc.epsilon
     g_vals = np.asarray(g, dtype=float)
-    u = np.asarray(u, dtype=float)
-    u_eps = solve_source(ops.perturbed, g_vals)
+    u = g_vals / lam
     diff = u_eps - u
     h1_unc = ops.unperturbed.h1_norm(diff)
     w = corrector.scaled_physical(ops.mesh.nodes, inc.center, eps)

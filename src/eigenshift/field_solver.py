@@ -21,10 +21,11 @@ and unperturbed systems share one inclusion-conforming mesh, and with it
 one ordering and one mass matrix, so eigenvalue differences cancel the
 leading discretization error.
 
-One mesh holds one live factorization at a time: `observe` finishes every
-solve with the unperturbed factor (its eigensolve and the T-images of its
-groups' first modes), frees it, and only then factorizes the perturbed
-system.
+One mesh holds one live factorization at a time: `observe` frees the
+unperturbed factor after its eigensolve, the only solve made with it, and
+only then factorizes the perturbed system.  No unperturbed source solve is
+needed afterwards: for a discrete eigenpair K g = lambda M g, T g = g/lambda
+exactly.
 """
 
 from __future__ import annotations
@@ -92,7 +93,6 @@ class DiscreteGroup:
     lambdas: np.ndarray       # (m,) ascending
     vectors: np.ndarray       # (n, m) mass-orthonormal
     rank: int                 # 1-based group rank in the spectrum
-    t_first: Optional[np.ndarray] = None  # T vectors[:, 0]; `observe` solves it
 
     @property
     def multiplicity(self) -> int:
@@ -175,11 +175,15 @@ def solve_source(system: AssembledSystem, g) -> np.ndarray:
     """Solve -div(a grad u) = g with zero Neumann data and mean(u) = 0.
 
     The right-hand side is projected onto zero mass-mean first.  Returns
-    the nodal values of u = T g.
+    the nodal values of u = T g.  T maps constants to 0 exactly, so a
+    constant source, whose projected load is only rounding noise, is
+    answered without a solve.
     """
     values = np.asarray(g, dtype=float)
     if values.shape != (system.n,):
         raise ValidationError("source field does not match the system size")
+    if np.ptp(values) == 0.0:
+        return np.zeros(system.n)
     return _grounded_solve(system, system.mass.dot(values - system.mean(values)))
 
 
@@ -361,20 +365,14 @@ def observe(config, count: int, multiplicities: Optional[Sequence[int]] = None,
     """One scene's FEM observation: (SceneOperators, the unperturbed groups
     of its smallest `count` eigenpairs, their matched perturbed groups).
 
-    The unperturbed phase runs to its end first: its eigensolve and, for
-    each group, `t_first`, the one solve with T that the energy estimate
-    needs.  Its factor is then freed, before the perturbed system is
-    factorized, so at most one grounded LU is alive at any time; the
-    returned `ops.unperturbed` keeps its matrices but holds no factor.
+    The unperturbed eigensolve is the only solve made with T: its factor
+    is freed before the perturbed system is factorized, so at most one
+    grounded LU is alive at any time.  The returned `ops.unperturbed`
+    keeps its matrices but holds no factor; T applied to a group mode is
+    the mode over its eigenvalue.
     """
     ops = build_operators(config)
     groups = cluster_spectrum(solve_eigen(ops.unperturbed, count, seed=seed), multiplicities)
-    for group in groups:
-        first = group.vectors[:, 0]
-        # T maps the constant mode (lambda = 0 exactly) to 0; its projected
-        # load is rounding noise, which no solve should see
-        group.t_first = (solve_source(ops.unperturbed, first) if group.lambdas[0] != 0.0
-                         else np.zeros_like(first))
     ops.unperturbed.drop_factor()
     pairs = solve_eigen(ops.perturbed, count, seed=seed)
     return ops, groups, match_groups(groups, pairs, ops.unperturbed)

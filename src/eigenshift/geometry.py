@@ -415,10 +415,6 @@ class Mesh:
     def areas(self) -> np.ndarray:
         return p1_geometry(self.nodes, self.triangles)[1]
 
-    @property
-    def centroids(self) -> np.ndarray:
-        return self.nodes[self.triangles].mean(axis=1)
-
     @cached_property
     def mass(self) -> sp.csr_matrix:
         """Consistent P1 mass matrix; it does not depend on the conductivity,

@@ -356,16 +356,18 @@ def _sweep_point(
     centers = [inc.center for inc in inclusions]
     grad_analytic = np.stack([a_grp.gradients_at(z) for z in centers], axis=1)
 
-    osborn = osborn_residual(grp, pg, ops.unperturbed, ops.perturbed)
-    # energy experiment: source g = first group mode, so u = T g = g/lam_j
-    # (the observation's t_first, solved before the unperturbed factor was
-    # freed); the corrector gradient comes from the discrete mode itself so
-    # its basis and sign match the field being corrected
+    # the point's only source solves: T_eps of each group mode, on the
+    # perturbed factor; the unperturbed images are exact, T u_j = u_j/lam_j
+    t_eps = np.column_stack([fs.solve_source(ops.perturbed, u) for u in grp.vectors.T])
+    osborn = osborn_residual(grp, pg, ops.unperturbed, t_eps)
+    # energy experiment: source g = first group mode, u_eps = its T_eps image;
+    # the corrector gradient comes from the discrete mode itself so its
+    # basis and sign match the field being corrected
     g_mode = grp.vectors[:, 0]
     density = pol.solve_cell_problem(inclusions[0].shape, inclusions[0].k, 256)
     _, g_rec, _ = recover_quadratic(ops.mesh, g_mode, centers[0], radius=3.0 * h0)
     corrector = pol.corrector_field(density, g_rec / grp.lambdas[0], 1.0)
-    energy = energy_estimate(ops, g_mode, grp.t_first, corrector)
+    energy = energy_estimate(ops, g_mode, grp.lambdas[0], t_eps[:, 0], corrector)
 
     return SweepPoint(
         eps=eps,

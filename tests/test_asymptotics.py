@@ -33,6 +33,11 @@ def scene_ops():
     return fs.build_operators(cfg)
 
 
+def t_eps_images(system, group):
+    """T_eps u_j in column j, as a sweep point solves them."""
+    return np.column_stack([fs.solve_source(system, u) for u in group.vectors.T])
+
+
 @pytest.fixture(scope="module")
 def matched_pair(scene_ops, analytic_groups):
     mults = [g.multiplicity for g in analytic_groups[:4]]
@@ -156,7 +161,8 @@ class TestOsborn:
         groups = fs.cluster_spectrum(pairs, multiplicities=mults)
         matched = fs.match_groups(groups, pairs, scene_ops.unperturbed)
         rep = asy.osborn_residual(
-            groups[1], matched[1], scene_ops.unperturbed, scene_ops.unperturbed
+            groups[1], matched[1], scene_ops.unperturbed,
+            t_eps_images(scene_ops.unperturbed, groups[1]),
         )
         assert rep.lhs <= 1e-12
         assert rep.bound_proxy <= 1e-14
@@ -164,7 +170,8 @@ class TestOsborn:
     def test_finite_and_nonnegative(self, scene_ops, matched_pair):
         groups, matched = matched_pair
         rep = asy.osborn_residual(
-            groups[1], matched[1], scene_ops.unperturbed, scene_ops.perturbed
+            groups[1], matched[1], scene_ops.unperturbed,
+            t_eps_images(scene_ops.perturbed, groups[1]),
         )
         assert rep.lhs >= 0 and np.isfinite(rep.lhs)
         assert rep.bound_proxy > 0
@@ -186,19 +193,29 @@ class TestOsborn:
 
 
 class TestEnergy:
-    def test_no_contrast_zero_difference(self, scene_ops):
-        # a = 1 on both sides: u_eps == u and the report is exactly zero
+    def test_no_contrast_zero_difference(self, scene_ops, matched_pair):
+        # a = 1 on both sides: u_eps = T g = g/lam for an unperturbed mode g,
+        # and the report is zero
         ops = fs.SceneOperators(
             config=scene_ops.config,
             mesh=scene_ops.mesh,
             unperturbed=scene_ops.unperturbed,
             perturbed=scene_ops.unperturbed,
         )
-        g = np.cos(scene_ops.mesh.nodes[:, 0])
+        grp = matched_pair[0][1]
+        g, lam = grp.vectors[:, 0], grp.lambdas[0]
         density = pol.solve_cell_problem(geo.DiskShape(1.0), 2.0, 64)
         corrector = pol.corrector_field(density, np.zeros(2), 1.0)
-        rep = asy.energy_estimate(ops, g, fs.solve_source(ops.unperturbed, g), corrector)
+        rep = asy.energy_estimate(ops, g, lam, fs.solve_source(ops.perturbed, g), corrector)
         assert rep.h1_uncorrected == pytest.approx(0.0, abs=1e-12)
+
+    def test_constant_mode_is_no_source(self, scene_ops, matched_pair):
+        grp = matched_pair[0][0]  # lambda = 0: T g = g/lam does not exist
+        density = pol.solve_cell_problem(geo.DiskShape(1.0), 2.0, 64)
+        corrector = pol.corrector_field(density, np.zeros(2), 1.0)
+        with pytest.raises(ValidationError):
+            asy.energy_estimate(scene_ops, grp.vectors[:, 0], grp.lambdas[0],
+                                np.zeros(scene_ops.unperturbed.n), corrector)
 
     def test_corrector_improves(self, scene_ops, matched_pair):
         groups, _ = matched_pair
@@ -210,8 +227,8 @@ class TestEnergy:
             scene_ops.mesh, g_mode, inc.center, radius=0.12
         )
         corrector = pol.corrector_field(density, grad / grp.lambdas[0], 1.0)
-        u = fs.solve_source(scene_ops.unperturbed, g_mode)
-        rep = asy.energy_estimate(scene_ops, g_mode, u, corrector)
+        u_eps = fs.solve_source(scene_ops.perturbed, g_mode)
+        rep = asy.energy_estimate(scene_ops, g_mode, grp.lambdas[0], u_eps, corrector)
         assert rep.improved
         assert rep.h1_corrected < rep.h1_uncorrected
         assert rep.rhs_proxy > 0
@@ -230,7 +247,7 @@ class TestEnergy:
         # the product (k - 1) / lam * grad bit for bit
         good = pol.corrector_field(density, grad / grp.lambdas[0], 1.0)
         bad = pol.corrector_field(density, -grad / grp.lambdas[0], 1.0)
-        u = fs.solve_source(scene_ops.unperturbed, g_mode)
-        rep_good = asy.energy_estimate(scene_ops, g_mode, u, good)
-        rep_bad = asy.energy_estimate(scene_ops, g_mode, u, bad)
+        u_eps = fs.solve_source(scene_ops.perturbed, g_mode)
+        rep_good = asy.energy_estimate(scene_ops, g_mode, grp.lambdas[0], u_eps, good)
+        rep_bad = asy.energy_estimate(scene_ops, g_mode, grp.lambdas[0], u_eps, bad)
         assert rep_good.h1_corrected < rep_bad.h1_corrected

@@ -66,7 +66,7 @@ class TestBuildMesh:
             domain=UNIT_DISK, inclusions=(disk_inclusion(),), d0=0.3, mesh_h=0.08
         )
         mesh = geo.build_mesh(cfg)
-        inside = cfg.inclusions[0].contains_physical(mesh.centroids)
+        inside = cfg.inclusions[0].contains_physical(mesh.nodes[mesh.triangles].mean(axis=1))
         assert np.array_equal(mesh.region == 0, inside)
         assert (mesh.region == 0).sum() > 0
 

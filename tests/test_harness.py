@@ -253,6 +253,34 @@ class TestSweep:
 FLOOR_COEFF = 1.5  # 1.4x coarser is still below the scene's mesh_h cap at eps = 0.05
 
 
+def test_sweep_point_solve_budget(monkeypatch):
+    # one T_eps solve per mode of the tracked group (m = 2 at rank 2) and
+    # none with the unperturbed factor, which observe has already freed
+    observe, solve_source = fs.observe, fs.solve_source
+    seen, solves, lu_alive = [], [], []
+
+    def observing(*args, **kwargs):
+        seen.append(observe(*args, **kwargs))
+        lu_alive.append(seen[0][0].unperturbed._lu is not None)
+        return seen[-1]
+
+    def counting(system, g):
+        solves.append(system)
+        if seen:
+            lu_alive.append(seen[0][0].unperturbed._lu is not None)
+        return solve_source(system, g)
+
+    monkeypatch.setattr(fs, "observe", observing)
+    monkeypatch.setattr(fs, "solve_source", counting)
+    scene = harness.benchmark_scene(mesh_h=0.05)
+    analytic = harness._analytic_groups(scene, 2)
+    harness._sweep_point(scene, 0.09, 2, 0, 3.0, analytic)
+    assert len(seen) == 1 and analytic[1].multiplicity == 2
+    ops = seen[0][0]
+    assert len(solves) == 2 and all(system is ops.perturbed for system in solves)
+    assert lu_alive == [False] * 3 and ops.unperturbed._lu is None
+
+
 @pytest.fixture(scope="module")
 def floor_sweep():
     calls = []

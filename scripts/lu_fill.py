@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -30,10 +29,8 @@ def main() -> None:
     parser.add_argument("--solves", type=int, default=20)
     args = parser.parse_args()
 
-    scene = harness.benchmark_scene()
-    inclusions = tuple(replace(inc, epsilon=args.eps) for inc in scene.inclusions)
-    cfg = replace(scene, inclusions=inclusions,
-                  mesh_h=harness.schedule_mesh_h(args.eps, scene.mesh_h))
+    cfg = harness._point_config(harness.benchmark_scene(), args.eps,
+                                harness.MESH_SCHEDULE_COEFF)
     ops = fs.build_operators(cfg)
     report = {"eps": args.eps, "nodes": len(ops.mesh.nodes)}
     load = np.random.default_rng(0).standard_normal(len(ops.mesh.nodes) - 1)

@@ -11,11 +11,16 @@ smallest eps.  Scoring is cheap and is done by
 remainders, the shift and remainder fits and the ratio monotonicity, so
 calibration re-scores one set of observations under every candidate.
 
-The background resolution follows h0(eps) = min(mesh_h, c * eps^(5/4)):
+The resolution near the inclusion follows h0(eps) = min(mesh_h, c * eps^(5/4)):
 measured on the disk benchmark, a fixed global h leaves an
 eps-independent absolute bias (~2e-6 at h=0.02) that would swamp the
 eps^(5/2) remainder at the smallest eps, while the eps^(5/4) schedule
-keeps the bias below the remainder envelope at every point.
+keeps the bias below the remainder envelope at every point.  h0 is the
+mesh's `near_h`: it holds within d0/2 of the inclusion and along the
+domain boundary, and the background lattice grows from it to the scene's
+`mesh_h` (see `geometry`).  On the benchmark scene at eps = 0.02 that
+is 22,872 nodes where h0 everywhere took 101,309, and the shift moved by
+1.0e-7, below its two-resolution floor of 2.3e-7.
 """
 
 from __future__ import annotations
@@ -267,13 +272,18 @@ class SweepResult:
     convention: Optional[str] = None
     use_m_factor: bool = True
     predicted: Optional[np.ndarray] = None
-    remainder: Optional[np.ndarray] = None
+    signed_remainder: Optional[np.ndarray] = None   # observed - predicted
+    remainder: Optional[np.ndarray] = None          # |observed - predicted|
     shift_fit: Optional[RateReport] = None
     remainder_fit: Optional[RateReport] = None
     ratio_monotone: bool = False
 
     def summary(self) -> dict:
         point = self.points[0]
+        signed = (
+            [None] * len(self.points) if self.signed_remainder is None
+            else [float(r) for r in self.signed_remainder]
+        )
         return {
             "shift_order": self.shift_fit.preferred.slope if self.shift_fit else None,
             "remainder_order": (
@@ -288,6 +298,7 @@ class SweepResult:
             "floor_dominated": self.floor_dominated,
             "shift_fit_r2": self.shift_fit.preferred.r_squared if self.shift_fit else None,
             "epsilons": [p.eps for p in self.points],
+            "points": [_point_record(p, rem) for p, rem in zip(self.points, signed)],
         }
 
     def csv_rows(self) -> list:
@@ -305,6 +316,25 @@ class SweepResult:
                 }
             )
         return rows
+
+
+def _point_record(p: SweepPoint, signed_remainder: Optional[float]) -> dict:
+    """One point of sweep_summary.json: its mesh, matching overlap, signed
+    remainder (None until scored) and Osborn and energy diagnostics."""
+    return {
+        "eps": p.eps,
+        "mesh_nodes": p.mesh_nodes,
+        "mesh_h0": p.mesh_h0,
+        "overlap": float(p.overlap),
+        "signed_remainder": signed_remainder,
+        "osborn_lhs": float(p.osborn_lhs),
+        "osborn_bound": float(p.osborn_bound),
+        "osborn_inner": float(p.osborn_inner),
+        "osborn_eigen": float(p.osborn_eigen),
+        "energy_h1": float(p.energy_h1),
+        "energy_h1_corrected": float(p.energy_h1_corrected),
+        "energy_rhs_proxy": float(p.energy_rhs_proxy),
+    }
 
 
 def schedule_mesh_h(eps: float, cap: float, coeff: float = MESH_SCHEDULE_COEFF) -> float:
@@ -326,10 +356,11 @@ def _analytic_groups(scene: SceneConfig, max_rank: int) -> list:
 
 
 def _point_config(scene: SceneConfig, eps: float, sched_coeff: float) -> SceneConfig:
-    """The scene at one eps, meshed at the scheduled resolution h0."""
+    """The scene at one eps, meshed at the scheduled resolution h0 near the
+    inclusions and the domain boundary, graded to mesh_h beyond."""
     inclusions = tuple(replace(inc, epsilon=eps) for inc in scene.inclusions)
     return replace(scene, inclusions=inclusions,
-                   mesh_h=schedule_mesh_h(eps, scene.mesh_h, sched_coeff))
+                   near_h=schedule_mesh_h(eps, scene.mesh_h, sched_coeff))
 
 
 def _observe(
@@ -351,7 +382,7 @@ def _sweep_point(
     ops, groups, matched = _observe(scene, eps, rank, seed, sched_coeff, analytic_groups)
     grp, pg = groups[rank - 1], matched[rank - 1]
     a_grp = analytic_groups[rank - 1]
-    inclusions, h0 = ops.config.inclusions, ops.config.mesh_h
+    inclusions, h0 = ops.config.inclusions, ops.config.near_h
 
     centers = [inc.center for inc in inclusions]
     grad_analytic = np.stack([a_grp.gradients_at(z) for z in centers], axis=1)
@@ -519,7 +550,8 @@ def apply_convention(result: SweepResult, convention: str, use_m_factor: bool) -
     eps = [p.eps for p in result.points]
     predicted = _predictions(result.points, result.scene, convention, use_m_factor)
     abs_obs = np.abs(result.observed)
-    remainder = np.abs(result.observed - predicted)
+    signed_remainder = result.observed - predicted
+    remainder = np.abs(signed_remainder)
     shift_fit = fit_rate(list(zip(eps, abs_obs))) if np.all(abs_obs > 0) else None
     remainder_fit = fit_rate(list(zip(eps, remainder))) if np.all(remainder > 0) else None
     ratio = remainder / np.maximum(abs_obs, 1e-300)
@@ -528,6 +560,7 @@ def apply_convention(result: SweepResult, convention: str, use_m_factor: bool) -
         convention=convention,
         use_m_factor=use_m_factor,
         predicted=predicted,
+        signed_remainder=signed_remainder,
         remainder=remainder,
         shift_fit=shift_fit,
         remainder_fit=remainder_fit,

@@ -3,7 +3,8 @@
 Each test prints one `ACCEPTANCE n: PASS/FAIL` line (run pytest with -rA
 or -s to see them all).  The heavy artifacts - the calibration sweep over
 the disk benchmark and the growing-index sweep - are session fixtures
-shared across criteria.
+shared across criteria; `calibration` lives in conftest.py, where the
+geometry tests reuse it.
 """
 
 import math
@@ -29,26 +30,6 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 # ---------------------------------------------------------------------------
 # shared heavy artifacts
 # ---------------------------------------------------------------------------
-@pytest.fixture(scope="session")
-def calibration():
-    splu = fs.spla.splu
-    factorizations = []
-
-    def counted(matrix, **kwargs):
-        factorizations.append(matrix.shape[0])
-        return splu(matrix, **kwargs)
-
-    fs.spla.splu = counted
-    try:
-        t0 = time.time()
-        result = harness.calibrate()
-        result.base_sweep.elapsed = time.time() - t0  # type: ignore[attr-defined]
-    finally:
-        fs.spla.splu = splu
-    result.base_sweep.factorizations = factorizations  # type: ignore[attr-defined]
-    return result
-
-
 @pytest.fixture(scope="session")
 def calibrated_sweep(calibration):
     return harness.apply_convention(

@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from eigenshift import geometry as geo
+from eigenshift import harness
 from eigenshift.errors import ValidationError
 
 UNIT_DISK = geo.DomainSpec(kind="disk", radius=1.0)
@@ -159,6 +161,86 @@ class TestBuildMesh:
         assert np.max(np.abs(lshape.boundary_distance(mids))) < 1e-12
 
 
+class TestHexGrid:
+    @pytest.mark.parametrize("bbox, h", [
+        ((-1.0, -1.0, 1.0, 1.0), 0.05),
+        ((0.0, 0.0, np.pi, np.pi), 0.15),
+        ((-0.037, 0.2, 0.41, 0.93), 0.0123),
+    ])
+    def test_matches_row_loop(self, bbox, h):
+        # the lattice as rows were once built, one Python loop step per row
+        x0, y0, x1, y1 = bbox
+        dy = h * np.sqrt(3.0) / 2.0
+        rows = int(np.ceil((y1 - y0) / dy)) + 2
+        cols = int(np.ceil((x1 - x0) / h)) + 2
+        pts = []
+        for r in range(rows):
+            y = y0 + r * dy
+            off = 0.5 * h if r % 2 else 0.0
+            x = x0 + off + np.arange(cols) * h
+            pts.append(np.column_stack([x, np.full(cols, y)]))
+        assert np.array_equal(geo._hex_grid(bbox, h), np.vstack(pts))
+
+    @pytest.mark.parametrize("lo, hi", [(-np.inf, 0.0), (0.0, 0.03), (0.1, np.inf),
+                                        (-np.inf, np.inf)])
+    def test_band_is_the_filtered_grid(self, lo, hi):
+        # building only the blocks the band reaches loses no point and keeps row order
+        bbox, h = (-1.0, -1.0, 1.0, 1.0), 0.01
+
+        def dist(p):
+            return np.minimum(0.98 - np.hypot(*p.T), np.hypot(*(p - [0.4, 0.0]).T) - 0.2)
+
+        grid = geo._hex_grid(bbox, h)
+        d = dist(grid)
+        expected = grid[(d > lo) & (d <= hi)]
+        assert np.array_equal(geo._lattice_band(bbox, h, dist, lo, hi), expected)
+
+
+class TestGradedMesh:
+    def test_benchmark_point_size_and_quality(self):
+        cfg = harness._point_config(harness.benchmark_scene(), 0.02,
+                                    harness.MESH_SCHEDULE_COEFF)
+        assert cfg.near_h < cfg.mesh_h
+        mesh = geo.build_mesh(cfg)
+        assert len(mesh.nodes) <= 25_000
+        assert mesh.min_angle() >= 20.0
+        p = mesh.nodes[mesh.triangles]
+        longest = np.max(np.hypot(*(p - np.roll(p, 1, axis=1)).transpose(2, 0, 1)), axis=1)
+        near = np.all(np.hypot(*(p - cfg.inclusions[0].center).transpose(2, 0, 1))
+                      <= 0.5 * cfg.d0, axis=1)
+        assert near.sum() > 0
+        # a uniform Lloyd-smoothed lattice at spacing h has edges up to about 1.5 h
+        assert np.max(longest[near]) <= 1.6 * cfg.near_h
+        assert np.max(longest) <= 1.6 * cfg.mesh_h
+
+    def test_near_h_equal_to_mesh_h_is_ungraded(self):
+        cfg = geo.SceneConfig(domain=UNIT_DISK, inclusions=(disk_inclusion(),), d0=0.3,
+                              mesh_h=0.08)
+        plain, same = geo.build_mesh(cfg), geo.build_mesh(replace(cfg, near_h=0.08))
+        assert np.array_equal(plain.nodes, same.nodes)
+        assert np.array_equal(plain.triangles, same.triangles)
+
+    def test_less_than_one_growth_step_is_ungraded(self):
+        # mesh_h below 1.4 near_h: the whole mesh is at near_h
+        cfg = geo.SceneConfig(domain=UNIT_DISK, inclusions=(disk_inclusion(),), d0=0.3,
+                              mesh_h=0.08, near_h=0.07)
+        graded, uniform = geo.build_mesh(cfg), geo.build_mesh(replace(cfg, mesh_h=0.07))
+        assert np.array_equal(graded.nodes, uniform.nodes)
+        assert np.array_equal(graded.triangles, uniform.triangles)
+
+    @pytest.mark.parametrize("near_h", [0.0, -0.01, 0.11, float("nan")])
+    def test_near_h_validated(self, near_h):
+        with pytest.raises(ValidationError, match="near_h"):
+            geo.SceneConfig(domain=UNIT_DISK, inclusions=(), d0=0.3, mesh_h=0.1,
+                            near_h=near_h)
+
+    def test_calibration_meshes(self, calibration):
+        points = calibration.base_sweep.points
+        assert sum(p.mesh_nodes for p in points) <= 60_000
+        # only the largest eps has h0 = mesh_h, so only it is meshed uniformly
+        assert [p.mesh_h0 < 0.02 for p in points] == [True, True, True, False]
+
+
 class TestSerialization:
     def test_scene_json_roundtrip(self, tmp_path):
         cfg = geo.SceneConfig(
@@ -179,7 +261,15 @@ class TestSerialization:
         assert back.domain == cfg.domain
         assert back.d0 == cfg.d0
         assert back.mesh_h == cfg.mesh_h
+        assert back.near_h is None
         assert back.inclusions[1].shape == cfg.inclusions[1].shape
+
+    def test_near_h_roundtrip(self, tmp_path):
+        cfg = geo.SceneConfig(domain=UNIT_DISK, inclusions=(disk_inclusion(),), d0=0.3,
+                              mesh_h=0.08, near_h=0.03)
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(geo.scene_to_json(cfg)))
+        assert geo.load_scene(str(path)) == cfg
 
     def test_polygon_inclusion_shape_rejected(self, tmp_path):
         # inclusion shapes are disks and ellipses; polygons are domains only

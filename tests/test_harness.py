@@ -1,3 +1,4 @@
+import json
 from dataclasses import fields, replace
 
 import numpy as np
@@ -166,6 +167,18 @@ class TestSweep:
         assert set(summary["group"]) == {"lambda", "m"}
         assert summary["group"]["m"] == 2
 
+    def test_summary_points(self, small_sweep):
+        points = small_sweep.summary()["points"]
+        assert [p["eps"] for p in points] == [0.05, 0.07, 0.09]
+        signed = np.array([p["signed_remainder"] for p in points])
+        assert np.array_equal(signed, small_sweep.observed - small_sweep.predicted)
+        assert np.array_equal(np.abs(signed), small_sweep.remainder)
+        for p, point in zip(points, small_sweep.points):
+            assert p["mesh_nodes"] == point.mesh_nodes and p["mesh_h0"] == point.mesh_h0
+            for key in ("overlap",) + DIAGNOSTICS:
+                assert p[key] == getattr(point, key)
+        json.dumps(points)  # plain JSON types
+
     def test_rows_schema(self, small_sweep):
         rows = small_sweep.csv_rows()
         assert len(rows) == 3
@@ -287,7 +300,7 @@ def floor_sweep():
     original = geo.build_mesh
 
     def counting(config):
-        calls.append(config.mesh_h)
+        calls.append(config.near_h)
         return original(config)
 
     geo.build_mesh = counting
@@ -314,7 +327,7 @@ class TestNoiseFloor:
         h0 = harness.schedule_mesh_h(eps, scene.mesh_h, 1.4 * FLOOR_COEFF)
         assert h0 < scene.mesh_h and calls[-1] == h0
         coarse_scene = replace(
-            scene, inclusions=(replace(scene.inclusions[0], epsilon=eps),), mesh_h=h0
+            scene, inclusions=(replace(scene.inclusions[0], epsilon=eps),), near_h=h0
         )
         mults = [g.multiplicity for g in ds.disk_spectrum_list(1.0, 12)[:3]]
         _, groups, matched = fs.observe(coarse_scene, sum(mults) + 2, mults, seed=0)

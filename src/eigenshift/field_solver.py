@@ -149,9 +149,9 @@ def assemble(mesh: Mesh, inclusions: Sequence[InclusionSpec]) -> AssembledSystem
         for l, inc in enumerate(inclusions):
             coeff[mesh.region == l] = inc.k
 
-    e, area = p1_geometry(mesh.nodes, mesh.triangles)  # K is orientation-free
+    e, area = p1_geometry(mesh.nodes, mesh.triangles)
     if np.any(area <= 0):
-        raise SolverError("degenerate triangle in assembly")
+        raise SolverError("degenerate or folded triangle in assembly")
 
     n = len(mesh.nodes)
     rows, cols, k_data = [], [], []

@@ -1,16 +1,20 @@
 """Domain and inclusion descriptors, scene validation, mesh generation, the
 mesh's P1 mass matrix and its fill-reducing elimination order.
 
-The mesher builds a deterministic point cloud and takes its Delaunay
-triangulation.  Each inclusion boundary is polygonalized with
+The mesher builds a deterministic point cloud and triangulates it once,
+before any smoothing.  Each inclusion boundary is polygonalized with
 arc-length-proportional spacing (>= 64 segments) and bracketed by
 structured offset rings whose first offset is 0.75 of the boundary
 spacing: every interface edge then owns an empty diametral disk (Gabriel
 property), so it is guaranteed to appear in the Delaunay triangulation
 and every triangle lies wholly inside or outside each inclusion.  The
 conductivity indicator is therefore exactly piecewise constant on the
-mesh.  Background points come from a hexagonal lattice smoothed by a few
-Lloyd iterations; all structured points stay fixed.
+mesh.  Background points come from a hexagonal lattice.  Two damped
+Laplacian passes on the unsmoothed cloud's Delaunay graph move each
+lattice point 0.7 of the way to its neighbours' mean, and the mesh keeps
+that graph's triangles.  All structured points stay fixed, so the
+interface edges stay in the mesh; a triangle the smoothing folded would
+have a signed area <= 0, which the mesh check rejects.
 
 The background lattice is graded.  A scene's `near_h` is the spacing
 within d0/2 of each inclusion centre and in a band along the domain
@@ -471,14 +475,16 @@ class Mesh:
 
 
 def p1_geometry(nodes: np.ndarray, triangles: np.ndarray):
-    """Edge opposite each vertex, shape (t, 3, 2), and area, shape (t,).
+    """Edge opposite each vertex, shape (t, 3, 2), and signed area, shape (t,).
 
     Edge i joins the other two vertices, so the P1 basis gradient of
-    vertex i is rot90(e_i) / (2 * area) up to the triangle's orientation.
+    vertex i is rot90(e_i) / (2 * area).  The area is positive for a
+    counterclockwise triangle, as every mesh triangle must be, and
+    negative for a folded one.
     """
     p = nodes[triangles]
     e = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1)
-    area = np.abs(0.5 * (e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0]))
+    area = 0.5 * (e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0])
     return e, area
 
 
@@ -778,24 +784,10 @@ def build_mesh(config: SceneConfig) -> Mesh:
     if len(points) < 3:
         raise MeshError("degenerate geometry: fewer than 3 mesh points")
 
-    # Lloyd smoothing of the free (hexagonal) points only
-    for _ in range(2):
-        tri = Delaunay(points)
-        neigh_sum = np.zeros_like(points)
-        neigh_cnt = np.zeros(len(points))
-        for simplex in (tri.simplices[:, [0, 1]], tri.simplices[:, [1, 2]], tri.simplices[:, [2, 0]]):
-            np.add.at(neigh_sum, simplex[:, 0], points[simplex[:, 1]])
-            np.add.at(neigh_cnt, simplex[:, 0], 1.0)
-            np.add.at(neigh_sum, simplex[:, 1], points[simplex[:, 0]])
-            np.add.at(neigh_cnt, simplex[:, 1], 1.0)
-        target = neigh_sum / np.maximum(neigh_cnt, 1.0)[:, None]
-        moved = points.copy()
-        moved[n_fixed:] = points[n_fixed:] + 0.7 * (target[n_fixed:] - points[n_fixed:])
-        inside = domain.boundary_distance(moved[n_fixed:]) > 0.6 * hb
-        points[n_fixed:][inside] = moved[n_fixed:][inside]
-
-    tri = Delaunay(points)
-    triangles = tri.simplices.copy()
+    # One triangulation, of the unsmoothed cloud; its connectivity is kept
+    # through two damped Laplacian passes over the free (lattice) points.
+    triangles = Delaunay(points).simplices
+    _smooth_free_points(points, triangles, n_fixed, domain, 0.6 * hb)
 
     cent = points[triangles].mean(axis=1)
     if domain.kind == "polygon":
@@ -820,6 +812,32 @@ def build_mesh(config: SceneConfig) -> Mesh:
     return mesh
 
 
+def _smooth_free_points(points: np.ndarray, triangles: np.ndarray, n_fixed: int,
+                        domain: DomainSpec, clearance: float) -> None:
+    """Two damped Laplacian passes over points[n_fixed:], in place, on the
+    fixed edge graph of triangles: each free point moves 0.7 of the way to
+    its neighbours' mean unless that would leave it within clearance of
+    the domain boundary.
+
+    The triangles are counterclockwise, so every edge at an interior point
+    is the outgoing side a -> b of exactly one of its triangles; the free
+    points are all interior, so their outgoing sides list each neighbour
+    once.
+    """
+    src = triangles.ravel()
+    dst = np.roll(triangles, -1, axis=1).ravel()
+    own = src >= n_fixed
+    src, dst = src[own] - n_fixed, dst[own]
+    n_free = len(points) - n_fixed
+    count = np.maximum(np.bincount(src, minlength=n_free), 1)
+    free = points[n_fixed:]  # a view: moving it moves points
+    for _ in range(2):
+        mean = np.column_stack([np.bincount(src, points[dst, k], n_free) for k in (0, 1)])
+        moved = free + 0.7 * (mean / count[:, None] - free)
+        inside = domain.boundary_distance(moved) > clearance
+        free[inside] = moved[inside]
+
+
 def _locate_nodes(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Indices of mesh nodes coinciding with the target coordinates."""
     from scipy.spatial import cKDTree
@@ -834,7 +852,9 @@ def _locate_nodes(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
 def _check_mesh(mesh: Mesh, active: Sequence[InclusionSpec]) -> None:
     areas = mesh.areas
     if np.any(areas <= 0.0):
-        raise MeshError("degenerate triangle produced")
+        # scipy's 2-D simplices are counterclockwise: a signed area <= 0
+        # is a degenerate or folded triangle
+        raise MeshError(f"{int(np.sum(areas <= 0.0))} degenerate or folded triangles produced")
     total = float(np.sum(areas))
     target = mesh.config.domain.measure
     if abs(total - target) > 0.02 * target:

@@ -255,6 +255,7 @@ class SweepPoint:
     energy_rhs_proxy: float
     mesh_nodes: int
     mesh_h0: float
+    mesh_min_angle: float        # degrees, the mesh's smallest triangle angle
 
 
 @dataclass
@@ -278,6 +279,17 @@ class SweepResult:
     remainder_fit: Optional[RateReport] = None
     ratio_monotone: bool = False
 
+    @property
+    def remainder_sign_changes(self) -> Optional[int]:
+        """Sign changes of the signed remainder over ascending eps (None
+        until scored).  A remainder fit across one reads |observed -
+        predicted| through a cancellation, not a power law."""
+        if self.signed_remainder is None:
+            return None
+        signs = np.sign(self.signed_remainder)
+        signs = signs[signs != 0.0]
+        return int(np.count_nonzero(signs[1:] != signs[:-1]))
+
     def summary(self) -> dict:
         point = self.points[0]
         signed = (
@@ -289,6 +301,7 @@ class SweepResult:
             "remainder_order": (
                 self.remainder_fit.preferred.slope if self.remainder_fit else None
             ),
+            "remainder_sign_changes": self.remainder_sign_changes,
             "convention": self.convention,
             "use_m_factor": self.use_m_factor,
             "group": {"lambda": point.group_lam_analytic, "m": point.multiplicity},
@@ -319,12 +332,14 @@ class SweepResult:
 
 
 def _point_record(p: SweepPoint, signed_remainder: Optional[float]) -> dict:
-    """One point of sweep_summary.json: its mesh, matching overlap, signed
-    remainder (None until scored) and Osborn and energy diagnostics."""
+    """One point of sweep_summary.json: its mesh (nodes, h0, minimum angle),
+    matching overlap, signed remainder (None until scored) and Osborn and
+    energy diagnostics."""
     return {
         "eps": p.eps,
         "mesh_nodes": p.mesh_nodes,
         "mesh_h0": p.mesh_h0,
+        "mesh_min_angle": p.mesh_min_angle,
         "overlap": float(p.overlap),
         "signed_remainder": signed_remainder,
         "osborn_lhs": float(p.osborn_lhs),
@@ -419,6 +434,7 @@ def _sweep_point(
         energy_rhs_proxy=energy.rhs_proxy,
         mesh_nodes=len(ops.mesh.nodes),
         mesh_h0=h0,
+        mesh_min_angle=ops.mesh.min_angle(),
     )
 
 

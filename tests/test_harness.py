@@ -149,6 +149,45 @@ class TestScheduleAndScenes:
             harness.calibrate(scene)
 
 
+def _hand_made_sweep(signed_remainder):
+    """A SweepResult built without FEM, scored with the given signed
+    remainders over ascending eps (unscored for None); nothing else in it
+    is meaningful."""
+    eps = harness.BENCHMARK_EPS[: 4 if signed_remainder is None else len(signed_remainder)]
+    values = {f.name: 0.0 for f in fields(harness.SweepPoint)}
+    points = [harness.SweepPoint(**{**values, "eps": e, "group_rank": 2, "multiplicity": 2,
+                                    "mesh_nodes": 0, "gradients": np.zeros((2, 1, 2))})
+              for e in eps]
+    signed = None if signed_remainder is None else np.array(signed_remainder)
+    return harness.SweepResult(
+        points=points, scene=harness.benchmark_scene(), observed=np.zeros(len(eps)),
+        group_rank=2, alpha=0.0, noise_floor=None, floor_dominated=False,
+        convention=None if signed is None else "literature", signed_remainder=signed,
+        remainder=None if signed is None else np.abs(signed),
+    )
+
+
+class TestRemainderSignChanges:
+    @pytest.mark.parametrize("signed, changes", [
+        # the benchmark scene's pattern: one change between eps = 0.02 and 0.032
+        ([2.6e-7, -3.0e-6, -2.6e-5, -1.9e-4], 1),
+        ([-1e-7, -3.0e-6, -2.6e-5, -1.9e-4], 0),
+        ([1e-7, 3.0e-6, 2.6e-5, 1.9e-4], 0),
+        ([1e-7, -3.0e-6, 2.6e-5, -1.9e-4], 3),
+        # an exact zero is no sign: -, 0, + is one change
+        ([-1e-7, 0.0, 2.6e-5], 1),
+    ])
+    def test_count(self, signed, changes):
+        sweep = _hand_made_sweep(signed)
+        assert sweep.remainder_sign_changes == changes
+        assert sweep.summary()["remainder_sign_changes"] == changes
+
+    def test_unscored_is_none(self):
+        sweep = _hand_made_sweep(None)
+        assert sweep.remainder_sign_changes is None
+        assert sweep.summary()["remainder_sign_changes"] is None
+
+
 @pytest.fixture(scope="module")
 def small_sweep():
     # coarse, fast sweep exercising the full pipeline
@@ -175,6 +214,7 @@ class TestSweep:
         assert np.array_equal(np.abs(signed), small_sweep.remainder)
         for p, point in zip(points, small_sweep.points):
             assert p["mesh_nodes"] == point.mesh_nodes and p["mesh_h0"] == point.mesh_h0
+            assert p["mesh_min_angle"] == point.mesh_min_angle >= 20.0
             for key in ("overlap",) + DIAGNOSTICS:
                 assert p[key] == getattr(point, key)
         json.dumps(points)  # plain JSON types
@@ -211,7 +251,7 @@ class TestSweep:
         )
         assert len(pooled.points) == len(small_sweep.points) == 3
         for a, b in zip(small_sweep.points, pooled.points):
-            for name in DIAGNOSTICS:
+            for name in DIAGNOSTICS + ("mesh_min_angle",):
                 assert np.isfinite(getattr(a, name)), name
             for f in fields(a):
                 va, vb = getattr(a, f.name), getattr(b, f.name)

@@ -158,6 +158,8 @@ def polarization(ctx, shape_kind, contrast, panels, convention, rho, semi_a, sem
         "panels": panels,
         "convention": convention,
         "entries": [[float(v) for v in row] for row in tensor.entries],
+        "residual": tensor.residual,
+        "zero_charge": tensor.zero_charge,
     }
     click.echo(json.dumps(payload, indent=2))
 

@@ -81,6 +81,12 @@ class AssembledSystem:
                                  options={"SymmetricMode": True})
         return self._lu
 
+    @property
+    def lu_fill(self) -> Optional[int]:
+        """Nonzeros stored in the live grounded LU (L and U as SuperLU
+        holds them, read without copying either); None when there is none."""
+        return None if self._lu is None else int(self._lu.nnz)
+
     def drop_factor(self) -> None:
         """Free the grounded LU; the stiffness and mass stay usable."""
         self._lu = self._perm = None

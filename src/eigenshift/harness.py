@@ -256,6 +256,8 @@ class SweepPoint:
     mesh_nodes: int
     mesh_h0: float
     mesh_min_angle: float        # degrees, the mesh's smallest triangle angle
+    stiffness_nnz: int           # stored nonzeros of the perturbed stiffness
+    lu_fill: int                 # nonzeros of the perturbed grounded LU (SuperLU.nnz)
 
 
 @dataclass
@@ -333,13 +335,16 @@ class SweepResult:
 
 def _point_record(p: SweepPoint, signed_remainder: Optional[float]) -> dict:
     """One point of sweep_summary.json: its mesh (nodes, h0, minimum angle),
-    matching overlap, signed remainder (None until scored) and Osborn and
-    energy diagnostics."""
+    the perturbed system's stiffness nonzeros and LU fill, matching
+    overlap, signed remainder (None until scored) and Osborn and energy
+    diagnostics."""
     return {
         "eps": p.eps,
         "mesh_nodes": p.mesh_nodes,
         "mesh_h0": p.mesh_h0,
         "mesh_min_angle": p.mesh_min_angle,
+        "stiffness_nnz": p.stiffness_nnz,
+        "lu_fill": p.lu_fill,
         "overlap": float(p.overlap),
         "signed_remainder": signed_remainder,
         "osborn_lhs": float(p.osborn_lhs),
@@ -435,6 +440,8 @@ def _sweep_point(
         mesh_nodes=len(ops.mesh.nodes),
         mesh_h0=h0,
         mesh_min_angle=ops.mesh.min_angle(),
+        stiffness_nnz=int(ops.perturbed.stiffness.nnz),
+        lu_fill=ops.perturbed.lu_fill,
     )
 
 

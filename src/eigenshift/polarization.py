@@ -11,21 +11,34 @@ flux-jump contract
 
 fixes the second-kind equation ((k+1)/(2(k-1)) I + K*) psi = -nu_p/(k-1).
 A rank-one row keeps the total charge at zero, pinning the logarithmic
-far field.  Both tensor sign conventions are exposed; see
+far field.  The solve records its relative residual, and raises
+SolverError above MAX_RESIDUAL; the density reports its zero-charge
+check.  Both tensor sign conventions are exposed; see
 polarization_tensor.
+
+Both kernels, K* and the single-layer matrix, are computed from each
+target's scalar coordinates (s, p) along and across every panel and are
+filled one block of target rows at a time.  One rule sizes every block:
+BLOCK_PAIRS target-panel pairs, so 128 rows at 1024 panels and 512
+corrector targets at 256 panels.  Beyond K* itself, the system matrix and
+LAPACK's copy of it, the 1024-panel cell solve holds only a few blocks
+(about 1 MB each): its traced allocation peak is about 16 MB.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import SolverError, ValidationError
 from .geometry import InclusionShape
 
 _MIN_PANELS = 32
 CONVENTIONS = ("paper", "literature")
+BLOCK_PAIRS = 2**17   # target-panel pairs per row block of either kernel
+MAX_RESIDUAL = 1e-10  # relative residual allowed of the cell solve
 
 
 @dataclass(frozen=True)
@@ -61,16 +74,23 @@ def panelize(shape: InclusionShape, n: int) -> Panels:
 
 @dataclass
 class BoundaryDensity:
-    """Single-layer densities psi_p (p = 0, 1) and interior flux traces."""
+    """Single-layer densities psi_p (p = 0, 1) and interior flux traces,
+    with the checks of the solve that made them."""
 
     panels: Panels
     values: np.ndarray          # (n, 2)
     interior_trace: np.ndarray  # (n, 2): d phi_p / d nu |_- at midpoints
     k: float
     shape: InclusionShape
+    residual: float             # ||A psi - rhs|| / ||rhs|| of the second-kind solve
 
     def charge(self, p: int) -> float:
         return float(self.panels.lengths @ self.values[:, p])
+
+    @property
+    def zero_charge(self) -> float:
+        """The zero-charge check: max_p |charge(p)| / |dB|."""
+        return max(abs(self.charge(p)) for p in range(2)) / self.panels.perimeter
 
 
 @dataclass(frozen=True)
@@ -79,6 +99,10 @@ class PolarizationTensor:
     shape: InclusionShape
     k: float
     convention: str
+    # the cell solve's relative residual and zero-charge check; None at
+    # k = 1, which needs no solve
+    residual: Optional[float] = None
+    zero_charge: Optional[float] = None
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +114,21 @@ def _panel_frames(panels: Panels):
     tang = (b - a) / panels.lengths[:, None]
     perp = np.column_stack([tang[:, 1], -tang[:, 0]])
     return a, tang, perp
+
+
+def _row_blocks(rows: int, panels: int):
+    """Slices of at most BLOCK_PAIRS // panels target rows (at least one)."""
+    step = max(1, BLOCK_PAIRS // panels)
+    return (slice(start, min(start + step, rows)) for start in range(0, rows, step))
+
+
+def _panel_coordinates(frames, targets: np.ndarray):
+    """(s, p), each (t, n): target coordinates along and across each panel,
+    from its start vertex."""
+    a, tang, perp = frames
+    dx = targets[:, 0, None] - a[:, 0]
+    dy = targets[:, 1, None] - a[:, 1]
+    return dx * tang[:, 0] + dy * tang[:, 1], dx * perp[:, 0] + dy * perp[:, 1]
 
 
 def _log_antiderivative(w: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -108,43 +147,39 @@ def _log_antiderivative(w: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def single_layer_matrix(panels: Panels, targets: np.ndarray) -> np.ndarray:
     """S[e_j](targets): exact integral of -(1/2pi) ln r over each panel."""
-    a, tang, perp = _panel_frames(panels)
-    d = targets[:, None, :] - a[None, :, :]           # (t, n, 2)
-    s = np.einsum("tnd,nd->tn", d, tang)
-    p = np.einsum("tnd,nd->tn", d, perp)
-    upper = _log_antiderivative(panels.lengths[None, :] - s, p)
-    lower = _log_antiderivative(-s, p)
-    return -(upper - lower) / (2.0 * np.pi)
+    s, p = _panel_coordinates(_panel_frames(panels), targets)
+    upper = _log_antiderivative(panels.lengths - s, p)
+    return -(upper - _log_antiderivative(-s, p)) / (2.0 * np.pi)
 
 
-def single_layer_gradient(panels: Panels, targets: np.ndarray) -> np.ndarray:
-    """Gradient of the exact panel potentials; shape (t, n, 2).
+def _normal_derivative_rows(panels: Panels, frames, targets: np.ndarray,
+                            normals: np.ndarray) -> np.ndarray:
+    """normals_t . grad_t of the exact panel potentials, (t, n): one row
+    block of K*, in a function of its own so the block's temporaries are
+    freed before the next block is built.
 
-    Not defined on the curve itself (the normal part jumps); targets on a
-    panel are nudged to its exterior side by a tiny offset.
+    The gradient is not defined on the curve itself (its normal part
+    jumps); targets on a panel are nudged to its exterior side by a tiny
+    offset.
     """
-    a, tang, perp = _panel_frames(panels)
-    d = targets[:, None, :] - a[None, :, :]
-    s = np.einsum("tnd,nd->tn", d, tang)
-    p = np.einsum("tnd,nd->tn", d, perp)
-    on_panel = (np.abs(p) < 1e-12) & (s > -1e-12) & (s < panels.lengths[None, :] + 1e-12)
-    p = np.where(on_panel, 1e-12, p)  # nearest-side regularization
-    w1 = panels.lengths[None, :] - s
+    _, tang, perp = frames
+    s, p = _panel_coordinates(frames, targets)
+    on_panel = (np.abs(p) < 1e-12) & (s > -1e-12) & (s < panels.lengths + 1e-12)
+    p[on_panel] = 1e-12  # nearest-side regularization
+    w1 = panels.lengths - s
     w0 = -s
-    r2_1 = w1 * w1 + p * p
-    r2_0 = w0 * w0 + p * p
     with np.errstate(divide="ignore", invalid="ignore"):
-        dlds = 0.5 * (np.log(r2_0) - np.log(r2_1))
+        dlds = 0.5 * (np.log(w0 * w0 + p * p) - np.log(w1 * w1 + p * p))
         # plain atan keeps the branch consistent on both sides of the panel;
         # collinear targets beyond the panel ends cancel to zero correctly
         dldp = np.arctan(w1 / p) - np.arctan(w0 / p)
-        dldp = np.where(np.isfinite(dldp), dldp, 0.0)
-    grad = dlds[..., None] * tang[None] + dldp[..., None] * perp[None]
-    return -grad / (2.0 * np.pi)
+        dldp[~np.isfinite(dldp)] = 0.0
+    return -(dlds * (normals @ tang.T) + dldp * (normals @ perp.T)) / (2.0 * np.pi)
 
 
 def adjoint_np_matrix(panels: Panels) -> np.ndarray:
-    """K* with kernel nu(x) . grad_x of -(1/2pi) ln|x-y|, exact per panel.
+    """K* with kernel nu(x) . grad_x of -(1/2pi) ln|x-y|, exact per panel,
+    collocated at the panel midpoints and filled in row blocks.
 
     The diagonal comes from the Gauss flux identity: integrating the
     kernel over x gives -1/2 for any y on a closed curve, so each
@@ -153,8 +188,11 @@ def adjoint_np_matrix(panels: Panels) -> np.ndarray:
     diagonal (zero on a flat panel) converges only at first order in the
     panel count, the identity-based one at second.
     """
-    grad = single_layer_gradient(panels, panels.midpoints)
-    kstar = np.einsum("tnd,td->tn", grad, panels.normals)
+    frames = _panel_frames(panels)
+    kstar = np.empty((panels.n, panels.n))
+    for rows in _row_blocks(panels.n, panels.n):
+        kstar[rows] = _normal_derivative_rows(
+            panels, frames, panels.midpoints[rows], panels.normals[rows])
     np.fill_diagonal(kstar, 0.0)
     w = panels.lengths
     col = (w[:, None] * kstar).sum(axis=0)
@@ -167,7 +205,11 @@ def adjoint_np_matrix(panels: Panels) -> np.ndarray:
 # ---------------------------------------------------------------------------
 def solve_cell_problem(shape: InclusionShape, k: float, panels: int = 256) -> BoundaryDensity:
     """Densities psi_p realizing the flux jump nu_p across the unit-scale
-    inclusion boundary, with zero total charge."""
+    inclusion boundary, with zero total charge.
+
+    Raises SolverError when the relative residual of the dense solve
+    exceeds MAX_RESIDUAL.
+    """
     if k <= 0.0:
         raise ValidationError("conductivity must be positive")
     if k == 1.0:
@@ -175,14 +217,21 @@ def solve_cell_problem(shape: InclusionShape, k: float, panels: int = 256) -> Bo
     pan = panelize(shape, panels)
     lam_np = (k + 1.0) / (2.0 * (k - 1.0))
     kstar = adjoint_np_matrix(pan)
-    a = lam_np * np.eye(pan.n) + kstar
-    # rank-one charge pin; the true solution is charge-free, so this is
-    # consistent and removes the logarithmic far-field mode
-    a = a + np.outer(np.ones(pan.n), pan.lengths) / pan.perimeter
+    a = kstar.copy()
+    a.flat[:: pan.n + 1] += lam_np
+    # rank-one charge pin 1 l^T / |dB|; the true solution is charge-free, so
+    # this is consistent and removes the logarithmic far-field mode
+    a += pan.lengths / pan.perimeter
     rhs = -pan.normals / (k - 1.0)
     psi = np.linalg.solve(a, rhs)
+    residual = float(np.linalg.norm(a @ psi - rhs) / np.linalg.norm(rhs))
+    if not residual <= MAX_RESIDUAL:
+        raise SolverError(
+            f"cell problem: relative residual {residual:.3g} exceeds {MAX_RESIDUAL:g}"
+        )
     trace = kstar @ psi + 0.5 * psi  # d/dnu|_- = (+1/2 I + K*) psi
-    return BoundaryDensity(panels=pan, values=psi, interior_trace=trace, k=k, shape=shape)
+    return BoundaryDensity(panels=pan, values=psi, interior_trace=trace, k=k, shape=shape,
+                           residual=residual)
 
 
 def polarization_tensor(
@@ -209,7 +258,8 @@ def polarization_tensor(
     linear = (1.0 - k) if convention == "paper" else (k - 1.0)
     entries = linear * shape.area * np.eye(2) + (1.0 - k) ** 2 * moment
     entries = 0.5 * (entries + entries.T)
-    return PolarizationTensor(entries=entries, shape=shape, k=k, convention=convention)
+    return PolarizationTensor(entries=entries, shape=shape, k=k, convention=convention,
+                              residual=density.residual, zero_charge=density.zero_charge)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +267,6 @@ def polarization_tensor(
 # ---------------------------------------------------------------------------
 NEAR_RADIUS = 5.0    # exact near field within this many panel radii
 MULTIPOLE_ORDER = 20  # far-field terms; truncation ~ NEAR_RADIUS**-(order+1)
-CHUNK_TARGETS = 2048  # near-field targets per exact kernel block
 
 
 @dataclass
@@ -229,7 +278,8 @@ class Corrector:
 
     v is the single layer of the combined density psi = values @ coef.
     Targets within NEAR_RADIUS * rho (rho = max |vertex|) get the exact
-    flat-panel integral in blocks of CHUNK_TARGETS rows; beyond, the same
+    flat-panel integral in row blocks of BLOCK_PAIRS target-panel pairs
+    (512 targets at 256 panels); beyond, the same
     exact potential is its convergent multipole series (Greengard and
     Rokhlin 1987), -(1/2pi) Re[q log z - sum_k M_k z^-k / k] with
     M_k = sum_j psi_j int_panel_j w^k ds, truncated at MULTIPOLE_ORDER.
@@ -261,8 +311,8 @@ class Corrector:
         near = np.abs(z) <= self._near_radius
         out = np.empty(len(xi))
         idx = np.flatnonzero(near)
-        for start in range(0, len(idx), CHUNK_TARGETS):
-            rows = idx[start:start + CHUNK_TARGETS]
+        for block in _row_blocks(len(idx), self.density.panels.n):
+            rows = idx[block]
             out[rows] = single_layer_matrix(self.density.panels, xi[rows]) @ self._psi
         far = ~near
         out[far] = self._multipole(z[far])

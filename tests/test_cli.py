@@ -61,6 +61,8 @@ class TestPolarizationCommand:
         assert result.exit_code == 0, result.output
         payload = json.loads(result.output)
         assert payload["entries"][0][0] == pytest.approx(-4 * np.pi / 3, rel=1e-3)
+        assert 0.0 < payload["residual"] <= 1e-13
+        assert 0.0 <= payload["zero_charge"] <= 1e-13
 
     def test_k_one_gives_zero_tensor(self, runner, tmp_path):
         result = runner.invoke(
@@ -69,6 +71,14 @@ class TestPolarizationCommand:
         assert result.exit_code == 0
         payload = json.loads(result.output)
         assert payload["entries"] == [[0.0, 0.0], [0.0, 0.0]]
+        assert payload["residual"] is None and payload["zero_charge"] is None
+
+    def test_inaccurate_cell_solve_exit_3(self, runner, tmp_path, monkeypatch):
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1.0 + 1e-8))
+        result = runner.invoke(main, ["--out", str(tmp_path), "polarization", "--k", "2.0"])
+        assert result.exit_code == 3
+        assert "residual" in result.output
 
     def test_negative_contrast_exit_2(self, runner, tmp_path):
         result = runner.invoke(

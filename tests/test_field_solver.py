@@ -163,6 +163,15 @@ class TestDissectionOrder:
         assert calls == [len(ops.mesh.nodes)]
         assert ops.unperturbed.mesh.dissection_order is ops.perturbed.mesh.dissection_order
 
+    def test_lu_fill_reads_the_live_factor(self, inclusion_scene):
+        ops = fs.build_operators(inclusion_scene[0])
+        system = ops.perturbed
+        assert system.lu_fill is None
+        lu = system._source_lu()
+        assert system.lu_fill == lu.nnz >= system.stiffness.nnz // 2
+        system.drop_factor()
+        assert system.lu_fill is None
+
     def test_one_mass_matrix_per_mesh(self, inclusion_scene):
         ops = fs.build_operators(inclusion_scene[0])
         assert ops.unperturbed.mass is ops.perturbed.mass is ops.mesh.mass

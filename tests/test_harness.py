@@ -215,6 +215,8 @@ class TestSweep:
         for p, point in zip(points, small_sweep.points):
             assert p["mesh_nodes"] == point.mesh_nodes and p["mesh_h0"] == point.mesh_h0
             assert p["mesh_min_angle"] == point.mesh_min_angle >= 20.0
+            assert p["stiffness_nnz"] == point.stiffness_nnz > point.mesh_nodes
+            assert p["lu_fill"] == point.lu_fill >= point.stiffness_nnz // 2
             for key in ("overlap",) + DIAGNOSTICS:
                 assert p[key] == getattr(point, key)
         json.dumps(points)  # plain JSON types
@@ -253,6 +255,8 @@ class TestSweep:
         for a, b in zip(small_sweep.points, pooled.points):
             for name in DIAGNOSTICS + ("mesh_min_angle",):
                 assert np.isfinite(getattr(a, name)), name
+            for name in ("stiffness_nnz", "lu_fill"):
+                assert isinstance(getattr(a, name), int) and getattr(a, name) > 0, name
             for f in fields(a):
                 va, vb = getattr(a, f.name), getattr(b, f.name)
                 if isinstance(va, np.ndarray):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eigenshift import polarization as pol
-from eigenshift.errors import ValidationError
+from eigenshift.errors import SolverError, ValidationError
 from eigenshift.geometry import DiskShape, EllipseShape
 
 K_DEFAULT = 2.0
@@ -45,6 +45,130 @@ class TestCellProblem:
     def test_min_panels(self):
         with pytest.raises(ValidationError):
             pol.solve_cell_problem(DiskShape(1.0), 2.0, 16)
+
+    @pytest.mark.parametrize("panels", [256, 1024])
+    def test_recorded_checks(self, panels):
+        shape, k = EllipseShape(1.0, 0.5, 0.7), K_DEFAULT
+        dens = pol.solve_cell_problem(shape, k, panels)
+        pan = dens.panels
+        # the system as written before the row-block rewrite, with eye and outer
+        kstar = pol.adjoint_np_matrix(pan)
+        lam_np = (k + 1.0) / (2.0 * (k - 1.0))
+        a = lam_np * np.eye(pan.n) + kstar + np.outer(np.ones(pan.n), pan.lengths) / pan.perimeter
+        rhs = -pan.normals / (k - 1.0)
+        residual = np.linalg.norm(a @ dens.values - rhs) / np.linalg.norm(rhs)
+        assert dens.residual == pytest.approx(residual, rel=1e-6)
+        assert 0.0 < dens.residual <= 1e-13
+        worst = max(abs(dens.charge(0)), abs(dens.charge(1))) / pan.perimeter
+        assert dens.zero_charge == worst <= 1e-13
+        tensor = pol.polarization_tensor(shape, k, "literature", panels)
+        assert (tensor.residual, tensor.zero_charge) == (dens.residual, dens.zero_charge)
+
+    def test_inaccurate_solve_raises(self, monkeypatch):
+        solve = np.linalg.solve
+        monkeypatch.setattr(pol.np.linalg, "solve", lambda a, b: solve(a, b) * (1.0 + 1e-8))
+        with pytest.raises(SolverError, match="residual"):
+            pol.solve_cell_problem(DiskShape(1.0), K_DEFAULT, 64)
+
+    def test_cell_solve_memory(self):
+        # K*, the system matrix and LAPACK's copy are the only n x n arrays;
+        # a (t, n, 2) kernel would hold several more at 1024 panels
+        tracemalloc.start()
+        try:
+            pol.solve_cell_problem(EllipseShape(1.0, 0.5, 0.7), K_DEFAULT, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
+
+
+class SquareShape:
+    """Four straight sides of n/4 panels each: midpoints lie collinear with
+    the other panels of their side, beyond those panels' ends."""
+
+    def boundary_points(self, n):
+        t = np.arange(n // 4) / (n // 4)
+        one, zero = np.ones_like(t), np.zeros_like(t)
+        sides = [(t, zero), (one, t), (1.0 - t, one), (zero, 1.0 - t)]
+        return np.concatenate([np.column_stack(side) for side in sides]) - 0.5
+
+
+KERNEL_SHAPES = [DiskShape(1.0), EllipseShape(1.0, 0.5, 0.7), SquareShape()]
+KERNEL_IDS = ["disk", "ellipse", "square"]
+
+
+def dense_panel_coordinates(pan, targets):
+    """(d, s, p, tang, perp) with d the (t, n, 2) target-minus-vertex array."""
+    a = pan.vertices
+    tang = (np.roll(a, -1, axis=0) - a) / pan.lengths[:, None]
+    perp = np.column_stack([tang[:, 1], -tang[:, 0]])
+    d = targets[:, None, :] - a[None, :, :]
+    return d, np.einsum("tnd,nd->tn", d, tang), np.einsum("tnd,nd->tn", d, perp), tang, perp
+
+
+def dense_single_layer(pan, targets):
+    _, s, p, _, _ = dense_panel_coordinates(pan, targets)
+    upper = pol._log_antiderivative(pan.lengths[None, :] - s, p)
+    return -(upper - pol._log_antiderivative(-s, p)) / (2.0 * np.pi)
+
+
+def dense_gradient(pan, targets):
+    """The (t, n, 2) gradient of the exact panel potentials, on-panel
+    targets nudged to the exterior side."""
+    _, s, p, tang, perp = dense_panel_coordinates(pan, targets)
+    on_panel = (np.abs(p) < 1e-12) & (s > -1e-12) & (s < pan.lengths[None, :] + 1e-12)
+    p = np.where(on_panel, 1e-12, p)
+    w1, w0 = pan.lengths[None, :] - s, -s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dlds = 0.5 * (np.log(w0 * w0 + p * p) - np.log(w1 * w1 + p * p))
+        dldp = np.arctan(w1 / p) - np.arctan(w0 / p)
+        dldp = np.where(np.isfinite(dldp), dldp, 0.0)
+    grad = dlds[..., None] * tang[None] + dldp[..., None] * perp[None]
+    return -grad / (2.0 * np.pi)
+
+
+class TestRowBlockKernels:
+    """The row-block kernels against the (t, n, 2) formulas they replace."""
+
+    @pytest.mark.parametrize("n", [64, 300])
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=KERNEL_IDS)
+    def test_single_layer_matches_dense_formula(self, shape, n):
+        pan = pol.panelize(shape, n)
+        a, b = pan.vertices, np.roll(pan.vertices, -1, axis=0)
+        cloud = np.random.default_rng(4).uniform(-3.0, 3.0, (700, 2))
+        targets = np.concatenate([
+            pan.midpoints, a,                   # on a panel, and on its ends
+            a + 1.5 * (b - a), a - 0.5 * (b - a),  # collinear beyond either end
+            cloud,
+        ])
+        dense = dense_single_layer(pan, targets)
+        assert np.all(np.isfinite(dense))
+        err = np.abs(pol.single_layer_matrix(pan, targets) - dense)
+        assert np.max(err) <= 1e-14 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("n", [64, 300])
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=KERNEL_IDS)
+    def test_adjoint_matches_dense_formula(self, shape, n):
+        # every midpoint lies on its own panel; on the square it also lies
+        # collinear with the other panels of its side
+        pan = pol.panelize(shape, n)
+        grad = dense_gradient(pan, pan.midpoints)
+        dense = np.einsum("tnd,td->tn", grad, pan.normals)
+        np.fill_diagonal(dense, 0.0)
+        col = (pan.lengths[:, None] * dense).sum(axis=0)
+        np.fill_diagonal(dense, (-0.5 * pan.lengths - col) / pan.lengths)
+        # the scale is the (t, n, 2) gradient's: its dot with the target
+        # normal cancels, and the diagonal's column sums cancel against
+        # -len/2, so both formulas round at that scale, not at max |K*|
+        err = np.abs(pol.adjoint_np_matrix(pan) - dense)
+        assert np.max(err) <= 1e-14 * np.max(np.abs(grad))
+
+    @pytest.mark.parametrize("rows, panels", [(1024, 1024), (1000, 256), (7, 2**18), (0, 64)])
+    def test_row_blocks_cover_every_row(self, rows, panels):
+        blocks = list(pol._row_blocks(rows, panels))
+        covered = np.concatenate([np.arange(rows)[b] for b in blocks] + [np.zeros(0, int)])
+        assert np.array_equal(covered, np.arange(rows))
+        assert all(b.stop - b.start <= max(1, pol.BLOCK_PAIRS // panels) for b in blocks)
 
 
 class TestPolarizationTensor:

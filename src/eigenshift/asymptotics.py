@@ -23,65 +23,40 @@ inner-product term (the modes are mass-normalized).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .field_solver import AssembledSystem, DiscreteGroup, PerturbedGroup, SceneOperators
-from .geometry import InclusionSpec, Mesh, p1_geometry
+from .geometry import Mesh, p1_geometry
 from .polarization import Corrector, PolarizationTensor
 
 
 # ---------------------------------------------------------------------------
 # predicted shift
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class ShiftPrediction:
-    epsilon: float
-    group_lam: float
-    multiplicity: int
-    value: float             # predicted lambda_bar - lambda
-    use_m_factor: bool
-    convention: str
-
-
 def predicted_shift(
-    group,
-    inclusions: Sequence[InclusionSpec],
+    gradients: np.ndarray,
     tensors: Sequence[PolarizationTensor],
     epsilon: float,
     use_m_factor: bool = True,
-    gradients: Optional[np.ndarray] = None,
-) -> ShiftPrediction:
-    """Polarization-tensor prediction of the averaged eigenvalue shift.
-
-    `group` must expose .lam, .multiplicity and, unless `gradients`
-    (shape (m, L, 2)) is given, a gradients_at(z) method (analytic disk
-    groups do; for mesh-only spectra recover gradients first).
+) -> float:
+    """Polarization-tensor prediction of the averaged eigenvalue shift
+    lambda_bar - lambda of a multiplicity-m group, from the (m, L, 2)
+    gradients of its modes at the L inclusion centers (analytic disk
+    groups stack them with gradients_at; for mesh-only spectra recover
+    them first) and one tensor per inclusion.
     """
-    if len(tensors) != len(inclusions):
-        raise ValidationError("need one polarization tensor per inclusion")
-    m = group.multiplicity
-    centers = [inc.center for inc in inclusions]
-    if gradients is None:
-        gradients = np.stack([group.gradients_at(z) for z in centers], axis=1)
     gradients = np.asarray(gradients, dtype=float)
-    if gradients.shape != (m, len(inclusions), 2):
+    if gradients.ndim != 3 or gradients.shape[2] != 2:
         raise ValidationError("gradients must have shape (m, n_inclusions, 2)")
+    if len(tensors) != gradients.shape[1]:
+        raise ValidationError("need one polarization tensor per inclusion")
     tens = np.stack([t.entries for t in tensors])  # (L, 2, 2)
     m_grad = np.einsum("lde,jle->jld", tens, gradients)
-    q = np.einsum("jld,jld->jl", gradients, m_grad)
-    total = float(np.sum(q))
-    value = epsilon**2 * (total / m if use_m_factor else total)
-    return ShiftPrediction(
-        epsilon=epsilon,
-        group_lam=group.lam,
-        multiplicity=m,
-        value=value,
-        use_m_factor=use_m_factor,
-        convention=tensors[0].convention if tensors else "paper",
-    )
+    total = float(np.einsum("jld,jld->", gradients, m_grad))
+    return epsilon**2 * (total / len(gradients) if use_m_factor else total)
 
 
 def recover_quadratic(mesh: Mesh, values: np.ndarray, z, radius: float):

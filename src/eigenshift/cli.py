@@ -207,9 +207,8 @@ def sweep(ctx, config_path, eps_spec, group_rank, alpha, convention, no_m_factor
     )
     csv_path = os.path.join(ctx.obj["out"], "sweep.csv")
     rows = [
-        (r["eps"], r["lambda_bar"], r["lambda"], r["observed_shift"],
-         r["predicted_shift"], r["remainder"], r["overlap"])
-        for r in result.csv_rows()
+        (p.eps, p.lambda_bar, p.lambda_ref, p.observed, pred, rem, p.overlap)
+        for p, pred, rem in zip(result.points, result.predicted, result.remainder)
     ]
     _write_csv(
         csv_path,

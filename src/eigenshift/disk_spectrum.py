@@ -5,6 +5,19 @@ e^{+-i s phi} is realized as sqrt(2) cos(s phi) / sqrt(2) sin(s phi) so
 mass-orthonormality holds in the real L^2 inner product.  The s = 0,
 beta = 0 constant mode has an indeterminate closed-form normalization
 and is represented explicitly as 1/sqrt(pi R^2).
+
+Value, gradient and Hessian of a mode come from one Bessel pass.  With
+k = beta/R and F_n = J_n(k r) e^{i n phi}, the ladder identities
+(DLMF 10.6) (d/dx + i d/dy) F_n = -k F_{n+1} and (d/dx - i d/dy) F_n =
+k F_{n-1} give
+
+    d/dx F_s = k (F_{s-1} - F_{s+1}) / 2,  d/dy F_s = i k (F_{s-1} + F_{s+1}) / 2,
+    d2/dx2 F_s = k^2 (F_{s+2} - 2 F_s + F_{s-2}) / 4,
+    d2/dy2 F_s = -k^2 (F_{s+2} + 2 F_s + F_{s-2}) / 4,
+    d2/dxdy F_s = -i k^2 (F_{s+2} - F_{s-2}) / 4,
+
+so with J_{-n} = (-1)^n J_n every quantity is read from J_n(k r), n =
+max(s-2, 0) ... s+2.  No term divides by r: the centre needs no limit.
 """
 
 from __future__ import annotations
@@ -18,7 +31,6 @@ from . import specfun
 from .errors import DomainError, ValidationError
 
 _GROUP_MERGE_RTOL = 1e-9
-_R_TINY_FACTOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -50,11 +62,9 @@ def _amplitude(mode: DiskMode) -> float:
 
 
 class DiskEigenfunction:
-    """Evaluator for value, gradient and Hessian of one disk mode.
-
-    Works on Cartesian points of shape (n, 2); gradient and Hessian are
-    returned in Cartesian components.
-    """
+    """Value, gradient and Hessian of one disk mode at Cartesian points:
+    a cos (or constant, beta = 0) mode is amp Re F_s and a sin mode
+    amp Im F_s, differentiated by the ladder identities above."""
 
     def __init__(self, mode: DiskMode, amp: Optional[float] = None):
         """``amp`` is the mode's normalization, ``_amplitude(mode)`` when not
@@ -62,105 +72,25 @@ class DiskEigenfunction:
         self.mode = mode
         self._amp = _amplitude(mode) if amp is None else amp
 
-    # -- radial factor and derivatives -------------------------------------
-    def _radial(self, r: np.ndarray):
-        m = self.mode
-        rho = m.beta / m.R
-        x = rho * r
-        js = specfun.bessel_j(m.s, x)
-        jp = specfun.bessel_j_prime(m.s, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            jpp = (m.s * m.s / (x * x) - 1.0) * js - jp / x
-        return js, rho * jp, rho * rho * jpp
-
-    def _angular(self, phi: np.ndarray):
-        s = self.mode.s
-        if self.mode.parity == "cos":
-            return np.cos(s * phi), -s * np.sin(s * phi), -s * s * np.cos(s * phi)
-        return np.sin(s * phi), s * np.cos(s * phi), -s * s * np.sin(s * phi)
-
-    def value(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        if self.mode.is_constant:
-            return np.full(len(pts), self._amp)
-        r = np.hypot(pts[:, 0], pts[:, 1])
+    def evaluate(self, pts) -> tuple:
+        """(value (n,), gradient (n, 2), Hessian (n, 2, 2)) at points (n, 2)."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        s, k = self.mode.s, self.mode.beta / self.mode.R
+        lo = max(s - 2, 0)
+        bessel = specfun.bessel_j_orders(range(lo, s + 3), k * np.hypot(pts[:, 0], pts[:, 1]))
         phi = np.arctan2(pts[:, 1], pts[:, 0])
-        out = np.empty(len(pts))
-        tiny = r < _R_TINY_FACTOR * self.mode.R
-        if np.any(~tiny):
-            f, _, _ = self._radial(r[~tiny])
-            ang, _, _ = self._angular(phi[~tiny])
-            out[~tiny] = self._amp * f * ang
-        if np.any(tiny):
-            out[tiny] = self._amp if self.mode.s == 0 else 0.0
-        return out
-
-    def gradient(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        out = np.zeros((len(pts), 2))
-        if self.mode.is_constant:
-            return out
-        r = np.hypot(pts[:, 0], pts[:, 1])
-        phi = np.arctan2(pts[:, 1], pts[:, 0])
-        tiny = r < _R_TINY_FACTOR * self.mode.R
-        if np.any(~tiny):
-            rr, pp = r[~tiny], phi[~tiny]
-            f, fr, _ = self._radial(rr)
-            ang, angp, _ = self._angular(pp)
-            u_r = fr * ang
-            u_phi = f * angp
-            c, s_ = np.cos(pp), np.sin(pp)
-            out[~tiny, 0] = self._amp * (u_r * c - u_phi * s_ / rr)
-            out[~tiny, 1] = self._amp * (u_r * s_ + u_phi * c / rr)
-        if np.any(tiny) and self.mode.s == 1:
-            # J_1(x) ~ x/2 near 0, so grad(J_1(rho r) ang) -> rho/2 * e_parity
-            rho = self.mode.beta / self.mode.R
-            g = self._amp * rho / 2.0
-            if self.mode.parity == "cos":
-                out[tiny, 0] = g
-            else:
-                out[tiny, 1] = g
-        return out
-
-    def hessian(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        out = np.zeros((len(pts), 2, 2))
-        if self.mode.is_constant:
-            return out
-        r = np.hypot(pts[:, 0], pts[:, 1])
-        phi = np.arctan2(pts[:, 1], pts[:, 0])
-        tiny = r < _R_TINY_FACTOR * self.mode.R
-        if np.any(~tiny):
-            rr, pp = r[~tiny], phi[~tiny]
-            f, fr, frr = self._radial(rr)
-            ang, angp, angpp = self._angular(pp)
-            u_rr = frr * ang
-            u_rp = fr * angp
-            u_pp = f * angpp
-            u_r = fr * ang
-            u_p = f * angp
-            c, s_ = np.cos(pp), np.sin(pp)
-            cc, ss, cs = c * c, s_ * s_, c * s_
-            h_xx = u_rr * cc - 2 * u_rp * cs / rr + u_pp * ss / rr**2 + u_r * ss / rr + 2 * u_p * cs / rr**2
-            h_yy = u_rr * ss + 2 * u_rp * cs / rr + u_pp * cc / rr**2 + u_r * cc / rr - 2 * u_p * cs / rr**2
-            h_xy = u_rr * cs + u_rp * (cc - ss) / rr - u_pp * cs / rr**2 - u_r * cs / rr + u_p * (ss - cc) / rr**2
-            out[~tiny, 0, 0] = self._amp * h_xx
-            out[~tiny, 1, 1] = self._amp * h_yy
-            out[~tiny, 0, 1] = out[~tiny, 1, 0] = self._amp * h_xy
-        if np.any(tiny):
-            rho = self.mode.beta / self.mode.R
-            if self.mode.s == 0:
-                # J_0(x) ~ 1 - x^2/4
-                out[tiny, 0, 0] = out[tiny, 1, 1] = -self._amp * rho * rho / 2.0
-            elif self.mode.s == 2:
-                # J_2(x) ~ x^2/8; r^2 cos 2phi = x^2 - y^2, r^2 sin 2phi = 2xy
-                q = self._amp * rho * rho / 4.0
-                if self.mode.parity == "cos":
-                    out[tiny, 0, 0] = q
-                    out[tiny, 1, 1] = -q
-                else:
-                    out[tiny, 0, 1] = out[tiny, 1, 0] = q
-        return out
+        fm2, fm1, f0, fp1, fp2 = (
+            (-1.0) ** max(-n, 0) * bessel[abs(n) - lo] * np.exp(1j * n * phi)
+            for n in range(s - 2, s + 3)
+        )
+        q = 0.25 * k * k
+        c = np.stack([
+            f0,
+            0.5 * k * (fm1 - fp1), 0.5j * k * (fm1 + fp1),
+            q * (fp2 - 2.0 * f0 + fm2), -1j * q * (fp2 - fm2), -q * (fp2 + 2.0 * f0 + fm2),
+        ], axis=1)
+        part = self._amp * (c.imag if self.mode.parity == "sin" else c.real)
+        return part[:, 0], part[:, 1:3], part[:, [3, 4, 4, 5]].reshape(-1, 2, 2)
 
 
 @dataclass(frozen=True)
@@ -175,8 +105,7 @@ class EigenGroup:
 
     def gradients_at(self, z) -> np.ndarray:
         """Stacked gradients (m, 2) of the group's modes at a point."""
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-        return np.vstack([f.gradient(z)[0] for f in self.functions])
+        return np.vstack([f.evaluate(z)[1] for f in self.functions])
 
 
 def disk_eigenfunction(mode: DiskMode, point) -> tuple:
@@ -184,9 +113,8 @@ def disk_eigenfunction(mode: DiskMode, point) -> tuple:
     r, phi = float(point[0]), float(point[1])
     if r > mode.R * (1.0 + 1e-12):
         raise DomainError(f"point radius {r} outside disk of radius {mode.R}")
-    fn = DiskEigenfunction(mode)
-    pt = np.array([[r * np.cos(phi), r * np.sin(phi)]])
-    return float(fn.value(pt)[0]), fn.gradient(pt)[0], fn.hessian(pt)[0]
+    value, grad, hess = DiskEigenfunction(mode).evaluate([r * np.cos(phi), r * np.sin(phi)])
+    return float(value[0]), grad[0], hess[0]
 
 
 def disk_spectrum_list(R: float, count: int) -> list:

@@ -211,10 +211,9 @@ def sup_norm_bound_table(
     for g in groups:
         sup_v = sup_g = sup_h = 0.0
         for f in g.functions:
-            sup_v = max(sup_v, float(np.max(np.abs(f.value(pts)))))
-            grads = f.gradient(pts)
+            values, grads, hess = f.evaluate(pts)
+            sup_v = max(sup_v, float(np.max(np.abs(values))))
             sup_g = max(sup_g, float(np.max(np.hypot(grads[:, 0], grads[:, 1]))))
-            hess = f.hessian(pts)
             sup_h = max(sup_h, float(np.max(np.abs(hess))))
         val_col.append(sup_v)
         if g.lam == 0.0:
@@ -315,22 +314,6 @@ class SweepResult:
             "epsilons": [p.eps for p in self.points],
             "points": [_point_record(p, rem) for p, rem in zip(self.points, signed)],
         }
-
-    def csv_rows(self) -> list:
-        rows = []
-        for p, pred, rem in zip(self.points, self.predicted, self.remainder):
-            rows.append(
-                {
-                    "eps": p.eps,
-                    "lambda_bar": p.lambda_bar,
-                    "lambda": p.lambda_ref,
-                    "observed_shift": p.observed,
-                    "predicted_shift": pred,
-                    "remainder": rem,
-                    "overlap": p.overlap,
-                }
-            )
-        return rows
 
 
 def _point_record(p: SweepPoint, signed_remainder: Optional[float]) -> dict:
@@ -451,19 +434,9 @@ def _predictions(points, scene, convention, use_m_factor, panels=256):
         for inc in scene.inclusions
     ]
 
-    class _G:  # minimal group adapter for predicted_shift
-        def __init__(self, p):
-            self.lam = p.group_lam_analytic
-            self.multiplicity = p.multiplicity
-
-    out = []
-    for p in points:
-        pred = predicted_shift(
-            _G(p), scene.inclusions, tensors, p.eps,
-            use_m_factor=use_m_factor, gradients=p.gradients,
-        )
-        out.append(pred.value)
-    return np.array(out)
+    return np.array([
+        predicted_shift(p.gradients, tensors, p.eps, use_m_factor) for p in points
+    ])
 
 
 def run_sweep(

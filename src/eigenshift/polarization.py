@@ -45,6 +45,7 @@ MAX_RESIDUAL = 1e-10  # relative residual allowed of the cell solve
 class Panels:
     vertices: np.ndarray    # (n, 2) closed loop, counterclockwise
     midpoints: np.ndarray   # (n, 2)
+    tangents: np.ndarray    # (n, 2) unit, from each vertex to the next
     normals: np.ndarray     # (n, 2) outward unit
     lengths: np.ndarray     # (n,)
 
@@ -69,7 +70,8 @@ def panelize(shape: InclusionShape, n: int) -> Panels:
     tang = tang / lengths[:, None]
     normals = np.column_stack([tang[:, 1], -tang[:, 0]])  # outward for ccw loops
     midpoints = 0.5 * (verts + nxt)
-    return Panels(vertices=verts, midpoints=midpoints, normals=normals, lengths=lengths)
+    return Panels(vertices=verts, midpoints=midpoints, tangents=tang, normals=normals,
+                  lengths=lengths)
 
 
 @dataclass
@@ -108,24 +110,16 @@ class PolarizationTensor:
 # ---------------------------------------------------------------------------
 # exact panel integrals of the log kernel
 # ---------------------------------------------------------------------------
-def _panel_frames(panels: Panels):
-    a = panels.vertices
-    b = np.roll(panels.vertices, -1, axis=0)
-    tang = (b - a) / panels.lengths[:, None]
-    perp = np.column_stack([tang[:, 1], -tang[:, 0]])
-    return a, tang, perp
-
-
 def _row_blocks(rows: int, panels: int):
     """Slices of at most BLOCK_PAIRS // panels target rows (at least one)."""
     step = max(1, BLOCK_PAIRS // panels)
     return (slice(start, min(start + step, rows)) for start in range(0, rows, step))
 
 
-def _panel_coordinates(frames, targets: np.ndarray):
-    """(s, p), each (t, n): target coordinates along and across each panel,
-    from its start vertex."""
-    a, tang, perp = frames
+def _panel_coordinates(panels: Panels, targets: np.ndarray):
+    """(s, p), each (t, n): target coordinates along each panel's tangent
+    and its outward normal, from its start vertex."""
+    a, tang, perp = panels.vertices, panels.tangents, panels.normals
     dx = targets[:, 0, None] - a[:, 0]
     dy = targets[:, 1, None] - a[:, 1]
     return dx * tang[:, 0] + dy * tang[:, 1], dx * perp[:, 0] + dy * perp[:, 1]
@@ -147,33 +141,31 @@ def _log_antiderivative(w: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def single_layer_matrix(panels: Panels, targets: np.ndarray) -> np.ndarray:
     """S[e_j](targets): exact integral of -(1/2pi) ln r over each panel."""
-    s, p = _panel_coordinates(_panel_frames(panels), targets)
+    s, p = _panel_coordinates(panels, targets)
     upper = _log_antiderivative(panels.lengths - s, p)
     return -(upper - _log_antiderivative(-s, p)) / (2.0 * np.pi)
 
 
-def _normal_derivative_rows(panels: Panels, frames, targets: np.ndarray,
+def _normal_derivative_rows(panels: Panels, targets: np.ndarray,
                             normals: np.ndarray) -> np.ndarray:
     """normals_t . grad_t of the exact panel potentials, (t, n): one row
     block of K*, in a function of its own so the block's temporaries are
     freed before the next block is built.
 
-    The gradient is not defined on the curve itself (its normal part
-    jumps); targets on a panel are nudged to its exterior side by a tiny
-    offset.
+    The gradient is not defined on a panel itself (its normal part
+    jumps), so the entry of a midpoint target on its own panel is
+    meaningless; adjoint_np_matrix overwrites that diagonal.
     """
-    _, tang, perp = frames
-    s, p = _panel_coordinates(frames, targets)
-    on_panel = (np.abs(p) < 1e-12) & (s > -1e-12) & (s < panels.lengths + 1e-12)
-    p[on_panel] = 1e-12  # nearest-side regularization
+    tang, perp = panels.tangents, panels.normals
+    s, p = _panel_coordinates(panels, targets)
     w1 = panels.lengths - s
     w0 = -s
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore"):
         dlds = 0.5 * (np.log(w0 * w0 + p * p) - np.log(w1 * w1 + p * p))
         # plain atan keeps the branch consistent on both sides of the panel;
-        # collinear targets beyond the panel ends cancel to zero correctly
+        # collinear targets beyond the panel ends give atan(+-inf) twice,
+        # which cancels to zero
         dldp = np.arctan(w1 / p) - np.arctan(w0 / p)
-        dldp[~np.isfinite(dldp)] = 0.0
     return -(dlds * (normals @ tang.T) + dldp * (normals @ perp.T)) / (2.0 * np.pi)
 
 
@@ -188,11 +180,10 @@ def adjoint_np_matrix(panels: Panels) -> np.ndarray:
     diagonal (zero on a flat panel) converges only at first order in the
     panel count, the identity-based one at second.
     """
-    frames = _panel_frames(panels)
     kstar = np.empty((panels.n, panels.n))
     for rows in _row_blocks(panels.n, panels.n):
-        kstar[rows] = _normal_derivative_rows(
-            panels, frames, panels.midpoints[rows], panels.normals[rows])
+        kstar[rows] = _normal_derivative_rows(panels, panels.midpoints[rows],
+                                              panels.normals[rows])
     np.fill_diagonal(kstar, 0.0)
     w = panels.lengths
     col = (w[:, None] * kstar).sum(axis=0)

@@ -3,8 +3,10 @@ beta_si of J_s'.
 
 Evaluation uses three regimes stitched together:
 
-* ascending power series for small argument (x <= 12; safe in float64,
-  largest series term stays below ~4e3 so cancellation costs < 4 digits),
+* ascending power series for small argument (x <= 10; the largest series
+  term stays below ~7e2, so cancellation costs < 3 digits and the absolute
+  error stays below 2e-13; at x = 12 the largest term nears 4e3 and J_0
+  errs by 1.1e-12),
 * Miller's backward recurrence with even-order normalization for the
   middle band, where neither the series nor the large-argument expansion
   is trustworthy in double precision,
@@ -26,7 +28,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, ValidationError
 
-_SERIES_X_MAX = 12.0
+_SERIES_X_MAX = 10.0
 _ASYMPTOTIC_X_MIN = 30.0
 _X_MAX = 1.0e4
 _S_MAX = 200
@@ -170,13 +172,14 @@ def _j_orders(orders: tuple[int, ...], x: np.ndarray) -> np.ndarray:
     return vals
 
 
-def bessel_j(s: int, x):
-    """Bessel function J_s(x) for integer s >= 0.
+def bessel_j_orders(orders, x) -> np.ndarray:
+    """Rows J_n(x), n in ``orders`` (integers >= 0), stacked on a leading
+    axis over x of any shape, from one pass: the highest order picks the
+    regimes and the middle band shares one Miller recurrence.
 
     Absolute error <= 1e-12 for x <= 500; supported up to x = 1e4.
-    Accepts scalars or numpy arrays of any shape.
     """
-    s = _check_order(s)
+    orders = tuple(_check_order(n) for n in orders)
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError("argument must be finite")
@@ -184,8 +187,14 @@ def bessel_j(s: int, x):
         raise DomainError("argument must be non-negative")
     if np.any(arr > _X_MAX):
         raise DomainError(f"argument above supported range {_X_MAX:g}")
-    out = _j_orders((s,), arr.ravel())[0]
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    return _j_orders(orders, arr.ravel()).reshape((len(orders),) + arr.shape)
+
+
+def bessel_j(s: int, x):
+    """Bessel function J_s(x) for integer s >= 0: the one row of
+    ``bessel_j_orders((s,), x)``, a float for scalar x."""
+    out = bessel_j_orders((s,), x)[0]
+    return float(out) if out.ndim == 0 else out
 
 
 def _j_pair(s: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

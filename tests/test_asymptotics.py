@@ -33,6 +33,11 @@ def scene_ops():
     return fs.build_operators(cfg)
 
 
+def stacked_gradients(group, inclusions):
+    """The (m, L, 2) gradients of an analytic group at the inclusion centers."""
+    return np.stack([group.gradients_at(inc.center) for inc in inclusions], axis=1)
+
+
 def t_eps_images(system, group):
     """T_eps u_j in column j, as a sweep point solves them."""
     return np.column_stack([fs.solve_source(system, u) for u in group.vectors.T])
@@ -50,59 +55,58 @@ def matched_pair(scene_ops, analytic_groups):
 
 class TestPredictedShift:
     def test_exact_eps_squared_scaling(self, analytic_groups, disk_tensor):
-        inc = make_inclusion()
-        g2 = analytic_groups[1]
-        p1 = asy.predicted_shift(g2, [inc], [disk_tensor], 0.05)
-        p2 = asy.predicted_shift(g2, [inc], [disk_tensor], 0.10)
-        assert p2.value == pytest.approx(4.0 * p1.value, rel=1e-14)
+        grads = stacked_gradients(analytic_groups[1], [make_inclusion()])
+        p1 = asy.predicted_shift(grads, [disk_tensor], 0.05)
+        p2 = asy.predicted_shift(grads, [disk_tensor], 0.10)
+        assert p2 == pytest.approx(4.0 * p1, rel=1e-14)
 
     def test_additive_over_inclusions(self, analytic_groups, disk_tensor):
         g2 = analytic_groups[1]
         inc_a = make_inclusion(z=(0.4, 0.0))
         inc_b = make_inclusion(z=(-0.3, 0.3))
-        both = asy.predicted_shift(g2, [inc_a, inc_b], [disk_tensor, disk_tensor], 0.05)
+        both = asy.predicted_shift(
+            stacked_gradients(g2, [inc_a, inc_b]), [disk_tensor, disk_tensor], 0.05)
         sep = (
-            asy.predicted_shift(g2, [inc_a], [disk_tensor], 0.05).value
-            + asy.predicted_shift(g2, [inc_b], [disk_tensor], 0.05).value
+            asy.predicted_shift(stacked_gradients(g2, [inc_a]), [disk_tensor], 0.05)
+            + asy.predicted_shift(stacked_gradients(g2, [inc_b]), [disk_tensor], 0.05)
         )
-        assert both.value == pytest.approx(sep, rel=1e-14)
+        assert both == pytest.approx(sep, rel=1e-14)
 
     def test_zero_tensor_gives_zero(self, analytic_groups):
         zero = pol.PolarizationTensor(
             entries=np.zeros((2, 2)), shape=geo.DiskShape(1.0), k=1.0, convention="paper"
         )
-        pred = asy.predicted_shift(analytic_groups[1], [make_inclusion()], [zero], 0.05)
-        assert pred.value == 0.0
+        grads = stacked_gradients(analytic_groups[1], [make_inclusion()])
+        pred = asy.predicted_shift(grads, [zero], 0.05)
+        assert pred == 0.0
 
     def test_centered_radial_mode_gives_zero(self, analytic_groups, disk_tensor):
         # rank-4 group is the first radial (s=0) mode; grad u(0) = 0
-        inc = make_inclusion(z=(0.0, 0.0))
-        pred = asy.predicted_shift(analytic_groups[3], [inc], [disk_tensor], 0.05)
-        assert pred.value == pytest.approx(0.0, abs=1e-22)
+        grads = stacked_gradients(analytic_groups[3], [make_inclusion(z=(0.0, 0.0))])
+        pred = asy.predicted_shift(grads, [disk_tensor], 0.05)
+        assert pred == pytest.approx(0.0, abs=1e-22)
 
     def test_m_factor_halves_pair(self, analytic_groups, disk_tensor):
-        g2 = analytic_groups[1]
-        inc = make_inclusion()
-        with_m = asy.predicted_shift(g2, [inc], [disk_tensor], 0.05, use_m_factor=True)
-        without = asy.predicted_shift(g2, [inc], [disk_tensor], 0.05, use_m_factor=False)
-        assert without.value == pytest.approx(2.0 * with_m.value, rel=1e-14)
+        grads = stacked_gradients(analytic_groups[1], [make_inclusion()])
+        with_m = asy.predicted_shift(grads, [disk_tensor], 0.05, use_m_factor=True)
+        without = asy.predicted_shift(grads, [disk_tensor], 0.05, use_m_factor=False)
+        assert without == pytest.approx(2.0 * with_m, rel=1e-14)
 
     def test_basis_invariance_of_sum(self, analytic_groups, disk_tensor):
         # rotating the degenerate pair changes per-mode forms, not the sum
-        g2 = analytic_groups[1]
-        inc = make_inclusion()
-        grads = np.stack([g2.gradients_at(inc.center)], axis=1)
+        grads = stacked_gradients(analytic_groups[1], [make_inclusion()])
         theta = 0.35
         c, s = np.cos(theta), np.sin(theta)
         rot = np.array([[c, -s], [s, c]])
         mixed = np.einsum("jk,kld->jld", rot, grads)
-        base = asy.predicted_shift(g2, [inc], [disk_tensor], 0.05, gradients=grads)
-        turned = asy.predicted_shift(g2, [inc], [disk_tensor], 0.05, gradients=mixed)
-        assert turned.value == pytest.approx(base.value, rel=1e-12)
+        base = asy.predicted_shift(grads, [disk_tensor], 0.05)
+        turned = asy.predicted_shift(mixed, [disk_tensor], 0.05)
+        assert turned == pytest.approx(base, rel=1e-12)
 
     def test_tensor_count_mismatch(self, analytic_groups, disk_tensor):
+        grads = stacked_gradients(analytic_groups[1], [make_inclusion()])
         with pytest.raises(ValidationError):
-            asy.predicted_shift(analytic_groups[1], [make_inclusion()], [], 0.05)
+            asy.predicted_shift(grads, [], 0.05)
 
     def test_benchmark_constant(self, analytic_groups):
         # delta_pred / eps^2 for the disk benchmark (first m=2 group,
@@ -112,12 +116,12 @@ class TestPredictedShift:
         # observed/eps^2 at eps=0.02, converging from above)
         inc = make_inclusion()
         tensor = pol.polarization_tensor(geo.DiskShape(1.0), 2.0, "literature", 512)
-        pred = asy.predicted_shift(analytic_groups[1], [inc], [tensor], 1.0)
+        pred = asy.predicted_shift(stacked_gradients(analytic_groups[1], [inc]), [tensor], 1.0)
         closed_form = (
             2.0 * np.pi / 3.0 * np.sum(analytic_groups[1].gradients_at((0.4, 0.0)) ** 2) / 2.0
         )
         assert closed_form == pytest.approx(3.5942572846, abs=1e-9)
-        assert pred.value == pytest.approx(closed_form, rel=2e-4)
+        assert pred == pytest.approx(closed_form, rel=2e-4)
 
 
 class TestRecovery:

@@ -109,17 +109,17 @@ class TestEigenfunctions:
     def test_constant_mode_value(self, groups):
         f = groups[0].functions[0]
         pts = np.array([[0.0, 0.0], [0.5, 0.2], [-0.9, 0.1]])
-        assert np.allclose(f.value(pts), 1.0 / np.sqrt(np.pi))
+        assert np.allclose(f.evaluate(pts)[0], 1.0 / np.sqrt(np.pi))
 
     def test_unit_norm(self, groups):
         for g in groups[:6]:
             for f in g.functions:
-                assert disk_quad(lambda p: f.value(p) ** 2) == pytest.approx(1.0, abs=1e-8)
+                assert disk_quad(lambda p: f.evaluate(p)[0] ** 2) == pytest.approx(1.0, abs=1e-8)
 
     def test_mass_orthogonality(self, groups):
         fns = [f for g in groups[:4] for f in g.functions]
         for fa, fb in itertools.combinations(fns, 2):
-            assert abs(disk_quad(lambda p: fa.value(p) * fb.value(p))) < 1e-8
+            assert abs(disk_quad(lambda p: fa.evaluate(p)[0] * fb.evaluate(p)[0])) < 1e-8
 
     def test_eigen_residual(self, groups):
         rng = np.random.default_rng(1)
@@ -127,16 +127,16 @@ class TestEigenfunctions:
         pts = pts[np.hypot(pts[:, 0], pts[:, 1]) < 0.95][:100]
         for g in groups[1:]:
             for f in g.functions:
-                hess = f.hessian(pts)
+                value, _, hess = f.evaluate(pts)
                 lap = hess[:, 0, 0] + hess[:, 1, 1]
-                assert np.max(np.abs(lap + g.lam * f.value(pts))) <= 1e-6 * g.lam
+                assert np.max(np.abs(lap + g.lam * value)) <= 1e-6 * g.lam
 
     def test_neumann_residual(self, groups):
         t = np.linspace(0, 2 * np.pi, 65)[:-1]
         bp = np.column_stack([np.cos(t), np.sin(t)])
         for g in groups[1:]:
             for f in g.functions:
-                normal_der = np.sum(f.gradient(bp) * bp, axis=1)
+                normal_der = np.sum(f.evaluate(bp)[1] * bp, axis=1)
                 assert np.max(np.abs(normal_der)) <= 1e-9
 
     def test_hessian_matches_finite_differences(self, groups):
@@ -144,19 +144,20 @@ class TestEigenfunctions:
         p0 = np.array([[0.31, -0.22]])
         for g in groups[:5]:
             for f in g.functions:
-                H = f.hessian(p0)[0]
+                H = f.evaluate(p0)[2][0]
                 Hfd = np.zeros((2, 2))
                 for j in range(2):
                     dp = np.zeros(2)
                     dp[j] = h
-                    Hfd[:, j] = (f.gradient(p0 + dp)[0] - f.gradient(p0 - dp)[0]) / (2 * h)
+                    grad_up, grad_down = f.evaluate(p0 + dp)[1][0], f.evaluate(p0 - dp)[1][0]
+                    Hfd[:, j] = (grad_up - grad_down) / (2 * h)
                 assert np.max(np.abs(H - Hfd)) < 1e-4 * max(1.0, np.max(np.abs(H)))
 
     def test_center_gradient_limits(self, groups):
         origin = np.array([[0.0, 0.0]])
         pair = groups[1]  # s = 1 pair has the only nonzero gradient at 0
-        g_cos = pair.functions[0].gradient(origin)[0]
-        g_sin = pair.functions[1].gradient(origin)[0]
+        g_cos = pair.functions[0].evaluate(origin)[1][0]
+        g_sin = pair.functions[1].evaluate(origin)[1][0]
         assert g_cos[1] == 0.0 and g_sin[0] == 0.0
         assert g_cos[0] == pytest.approx(g_sin[1], rel=1e-12)
         for g in groups[2:5]:
@@ -166,9 +167,32 @@ class TestEigenfunctions:
         mode = groups[1].modes[0]
         val, grad, hess = ds.disk_eigenfunction(mode, (0.4, 0.0))
         pt = np.array([[0.4, 0.0]])
-        f = groups[1].functions[0]
-        assert val == pytest.approx(float(f.value(pt)[0]), rel=1e-14)
-        assert np.allclose(grad, f.gradient(pt)[0])
-        assert np.allclose(hess, f.hessian(pt)[0])
+        f_val, f_grad, f_hess = groups[1].functions[0].evaluate(pt)
+        assert val == pytest.approx(float(f_val[0]), rel=1e-14)
+        assert np.allclose(grad, f_grad[0])
+        assert np.allclose(hess, f_hess[0])
         with pytest.raises(DomainError):
             ds.disk_eigenfunction(mode, (1.2, 0.0))
+
+    @pytest.mark.parametrize("r", [1e-8, 1e-6])
+    def test_center_hessian_matches_taylor_form(self, groups, r):
+        # J_1(z) = z/2 - z^3/16 + O(z^5), so near the centre the (1,1) pair is
+        # amp (k/2 - k^3 r^2/16) (x, y), with Hessians -amp k^3/16 times
+        # [[6x, 2y], [2y, 2x]] (cos) and [[2y, 2x], [2x, 6y]] (sin)
+        pair = groups[1]
+        k = pair.modes[0].beta
+        x, y = r * np.cos(0.7), r * np.sin(0.7)
+        taylor = [np.array([[6 * x, 2 * y], [2 * y, 2 * x]]),
+                  np.array([[2 * y, 2 * x], [2 * x, 6 * y]])]
+        for f, form in zip(pair.functions, taylor):
+            expected = -ds._amplitude(f.mode) * k**3 / 16.0 * form
+            hess = f.evaluate([x, y])[2][0]
+            assert np.max(np.abs(hess - expected)) <= 1e-6 * np.max(np.abs(expected))
+
+    def test_center_value_not_clamped(self):
+        beta = specfun.bessel_deriv_zero(1, 12).beta
+        mode = ds.DiskMode(s=1, i=12, R=1.0, parity="cos", beta=beta, lam=beta * beta)
+        r = 1e-10
+        expected = ds._amplitude(mode) * sp.jv(1, beta * r)
+        value = ds.DiskEigenfunction(mode).evaluate([r, 0.0])[0][0]
+        assert value == pytest.approx(expected, rel=1e-12)

@@ -221,14 +221,6 @@ class TestSweep:
                 assert p[key] == getattr(point, key)
         json.dumps(points)  # plain JSON types
 
-    def test_rows_schema(self, small_sweep):
-        rows = small_sweep.csv_rows()
-        assert len(rows) == 3
-        for row in rows:
-            for key in ("eps", "lambda_bar", "lambda", "observed_shift",
-                        "predicted_shift", "remainder"):
-                assert key in row
-
     def test_shift_positive_and_ordered(self, small_sweep):
         assert np.all(small_sweep.observed > 0)
         assert np.all(np.diff(small_sweep.observed) > 0)  # grows with eps

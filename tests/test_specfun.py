@@ -61,6 +61,14 @@ class TestBesselJ:
             err = np.max(np.abs(specfun.bessel_j(s, xs) - sp.jv(s, xs)))
             assert err < 1e-12, (s, err)
 
+    def test_series_seam_against_scipy(self):
+        # the power series cancels more as x grows (largest term ~4e3 at
+        # x = 12, ~7e2 at x = 10); J_0 and J_1 err most where it hands over
+        xs = 9.0 + 1e-5 * np.arange(400_001)  # [9, 13]
+        for s in (0, 1, 2):
+            err = np.max(np.abs(specfun.bessel_j(s, xs) - sp.jv(s, xs)))
+            assert err <= 1e-12, (s, err)
+
     def test_series_asymptotic_overlap_band(self):
         # the two closed-form evaluation paths must agree on a shared band
         xs = np.linspace(14.0, 17.0, 23)

@@ -98,10 +98,17 @@ class EigenGroup:
     """One eigenvalue with its multiplicity and mass-orthonormal modes."""
 
     lam: float
-    multiplicity: int
     functions: tuple            # DiskEigenfunction per mode
     rank: int                   # 1-based position in the sorted spectrum
-    modes: tuple                # DiskMode per function
+
+    @property
+    def multiplicity(self) -> int:
+        return len(self.functions)
+
+    @property
+    def modes(self) -> tuple:
+        """DiskMode per function."""
+        return tuple(f.mode for f in self.functions)
 
     def gradients_at(self, z) -> np.ndarray:
         """Stacked gradients (m, 2) of the group's modes at a point."""
@@ -151,13 +158,7 @@ def disk_spectrum_list(R: float, count: int) -> list:
     entries.sort()
     const = DiskMode(s=0, i=0, R=R, parity="const", beta=0.0, lam=0.0)
     groups = [
-        EigenGroup(
-            lam=0.0,
-            multiplicity=1,
-            functions=(DiskEigenfunction(const),),
-            rank=1,
-            modes=(const,),
-        )
+        EigenGroup(lam=0.0, functions=(DiskEigenfunction(const),), rank=1)
     ]
     covered = 1
     rank = 1
@@ -182,17 +183,10 @@ def disk_spectrum_list(R: float, count: int) -> list:
 def _finalize_group(pending: list, R: float, rank: int) -> EigenGroup:
     """One group from its (lam, s, i, beta) entries: a cos and a sin mode for
     s >= 1, a single radial mode for s = 0."""
-    modes, functions = [], []
+    functions = []
     for lam, s, i, beta in pending:
         pair = [DiskMode(s=s, i=i, R=R, parity=parity, beta=beta, lam=lam)
                 for parity in (("cos",) if s == 0 else ("cos", "sin"))]
         amp = _amplitude(pair[0])
-        modes += pair
         functions += [DiskEigenfunction(m, amp) for m in pair]
-    return EigenGroup(
-        lam=pending[0][0],
-        multiplicity=len(modes),
-        functions=tuple(functions),
-        rank=rank,
-        modes=tuple(modes),
-    )
+    return EigenGroup(lam=pending[0][0], functions=tuple(functions), rank=rank)

@@ -12,14 +12,14 @@ The pure-Neumann kernel (constants) is handled by grounding one node in
 the source solve - the reduced matrix is symmetric positive definite and
 the grounded solution satisfies the full singular system exactly because
 the projected right-hand side is range-compatible - followed by a
-mass-mean shift.  The reduced matrix is factorized in the mesh's
-nested-dissection order without pivoting, as its being SPD allows.  The
+mass-mean shift.  The reduced matrix is SPD, so SuperLU factorizes it
+without pivoting, in its minimum-degree order of K + K^T.  The
 eigensolve iterates the same T, whose largest eigenvalues are 1/lambda,
 so one factorization of each system serves its source solves and its
 eigenpairs; the constant mode (lambda = 0) is added exactly.  Perturbed
 and unperturbed systems share one inclusion-conforming mesh, and with it
-one ordering and one mass matrix, so eigenvalue differences cancel the
-leading discretization error.
+one mass matrix, so eigenvalue differences cancel the leading
+discretization error.
 
 One mesh holds one live factorization at a time: `observe` frees the
 unperturbed factor after its eigensolve, the only solve made with it, and
@@ -48,7 +48,6 @@ class AssembledSystem:
     mesh: Mesh
     inclusions: tuple
     _lu: Optional[object] = field(default=None, repr=False)
-    _perm: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -70,15 +69,11 @@ class AssembledSystem:
         return float(np.sqrt(max(u @ self.stiffness.dot(u), 0.0) + max(u @ self.mass.dot(u), 0.0)))
 
     def _source_lu(self):
-        """LU of the grounded stiffness K[1:, 1:], permuted symmetrically
-        to K[perm][:, perm] with perm the mesh's dissection order less the
-        grounded node 0."""
+        """LU of the grounded stiffness K[1:, 1:]; it is SPD, so SuperLU
+        factorizes it without pivoting, in its minimum-degree order of K + K^T."""
         if self._lu is None:
-            order = self.mesh.dissection_order
-            self._perm = order[order != 0]
-            reduced = self.stiffness[self._perm][:, self._perm].tocsc()
-            self._lu = spla.splu(reduced, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                                 options={"SymmetricMode": True})
+            self._lu = spla.splu(self.stiffness[1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                 diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         return self._lu
 
     @property
@@ -89,7 +84,7 @@ class AssembledSystem:
 
     def drop_factor(self) -> None:
         """Free the grounded LU; the stiffness and mass stay usable."""
-        self._lu = self._perm = None
+        self._lu = None
 
 
 @dataclass
@@ -198,7 +193,7 @@ def _grounded_solve(system: AssembledSystem, b: np.ndarray) -> np.ndarray:
     factorization of the grounded stiffness K[1:, 1:]."""
     lu = system._source_lu()
     u = np.zeros(system.n)
-    u[system._perm] = lu.solve(b[system._perm])
+    u[1:] = lu.solve(b[1:])
     residual = np.linalg.norm(system.stiffness.dot(u) - b)
     b_norm = np.linalg.norm(b) or 1.0
     if not residual <= 1e-8 * b_norm:

@@ -398,7 +398,7 @@ def _sweep_point(
     # the corrector gradient comes from the discrete mode itself so its
     # basis and sign match the field being corrected
     g_mode = grp.vectors[:, 0]
-    density = pol.solve_cell_problem(inclusions[0].shape, inclusions[0].k, 256)
+    density = pol.solve_cell_problem(inclusions[0].shape, inclusions[0].k)
     _, g_rec, _ = recover_quadratic(ops.mesh, g_mode, centers[0], radius=3.0 * h0)
     corrector = pol.corrector_field(density, g_rec / grp.lambdas[0], 1.0)
     energy = energy_estimate(ops, g_mode, grp.lambdas[0], t_eps[:, 0], corrector)
@@ -428,9 +428,9 @@ def _sweep_point(
     )
 
 
-def _predictions(points, scene, convention, use_m_factor, panels=256):
+def _predictions(points, scene, convention, use_m_factor):
     tensors = [
-        pol.polarization_tensor(inc.shape, inc.k, convention, panels)
+        pol.polarization_tensor(inc.shape, inc.k, convention)
         for inc in scene.inclusions
     ]
 
